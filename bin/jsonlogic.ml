@@ -97,6 +97,12 @@ let parse_docs_exn ?budget text =
       | Ok vs -> vs
       | Error e -> failwith (Format.asprintf "%a" Jsont.Parser.pp_error e))
 
+(* One listed file's ingest: its bytes straight to the flat tree (no
+   Value.t intermediate) under a fresh budget.  A read failure raises
+   [Sys_error]; each caller renders the parse error in its own format. *)
+let ingest_tree obs path =
+  Jsont.Tree.of_string ~budget:(obs.fresh_budget ()) (read_input path)
+
 let input_arg =
   let doc = "Input file ('-' for stdin)." in
   Arg.(value & pos_right (-1) string [] & info [] ~docv:"FILE" ~doc)
@@ -130,6 +136,30 @@ let batch_result f =
 let print_batch paths results =
   Array.iter2 (fun p r -> Printf.printf "%s\t%s\n" p r) paths results
 
+(* The outcome of one document's unit of work on a batch lane.  No
+   exception leaves a lane, so after the join the coordinator reports
+   failures in list order, not in the order lanes happened to finish. *)
+type 'a lane_outcome =
+  | Unreadable of string  (* read or parse error, rendered for [error:] *)
+  | Raised of exn * Printexc.raw_backtrace
+  | Output of 'a
+
+let on_lane f x =
+  match f x with
+  | r -> Output r
+  | exception e -> Raised (e, Printexc.get_raw_backtrace ())
+
+(* The first unreadable document aborts the command; otherwise the first
+   exception is re-raised; otherwise the outputs, in list order. *)
+let join_lanes outcomes =
+  Array.iter (function Unreadable m -> failwith m | _ -> ()) outcomes;
+  Array.map
+    (function
+      | Output r -> r
+      | Raised (e, bt) -> Printexc.raise_with_backtrace e bt
+      | Unreadable m -> failwith m)
+    outcomes
+
 let last_input args = match List.rev args with [] -> "-" | x :: _ -> x
 
 let wrap f =
@@ -141,6 +171,7 @@ let wrap f =
   | () -> ()
   | exception (Failure m | Invalid_argument m) -> fail m
   | exception Obs.Budget.Exhausted r -> fail (Obs.Budget.describe r)
+  | exception Sys_error m -> fail m
 
 (* ---- parse ----------------------------------------------------------------- *)
 
@@ -183,10 +214,7 @@ let eval_cmd =
                     (* direct one-pass ingestion: text straight to the
                        flat tree, then evaluate on it *)
                     let tree =
-                      match
-                        Jsont.Tree.of_string ~budget:(obs.fresh_budget ())
-                          (read_input path)
-                      with
+                      match ingest_tree obs path with
                       | Ok t -> t
                       | Error e ->
                         failwith (Format.asprintf "%a" Jsont.Parser.pp_error e)
@@ -330,22 +358,27 @@ let aggregate_cmd =
           | Ok pl -> pl
           | Error m -> failwith ("bad pipeline: " ^ m)
         in
-        let docs =
-          Obs.Metrics.span "phase.parse" @@ fun () ->
+        (* [shard f] runs [f] on every document of the collection, one
+           document per unit of work on the batch lanes.  With
+           --files-from the unit is the whole read -> tree -> [f] of
+           one listed file, so ingest scales with --jobs and each tree
+           dies young on the lane that built it: only [f]'s outputs
+           survive the join. *)
+        let shard f =
+          join_lanes
+          @@
           match files_from with
           | Some list_path ->
-            (* one document per listed file, ingested as trees: a
-               leading $match can drop a file without ever building
-               its Value *)
-            Array.map
+            Par.Batch.map ~jobs:obs.jobs
               (fun p ->
                 match
-                  Jsont.Tree.of_string ~budget:(obs.fresh_budget ())
-                    (read_input p)
+                  Obs.Metrics.span "phase.parse" (fun () -> ingest_tree obs p)
                 with
-                | Ok t -> Jquery.Mongo_agg.doc_of_tree t
+                | Ok t -> on_lane f (Jquery.Mongo_agg.doc_of_tree t)
                 | Error e ->
-                  failwith (Format.asprintf "%s: %a" p Jsont.Parser.pp_error e))
+                  Unreadable
+                    (Format.asprintf "%s: %a" p Jsont.Parser.pp_error e)
+                | exception Sys_error m -> Unreadable m)
               (read_path_list list_path)
           | None ->
             let vs =
@@ -355,13 +388,15 @@ let aggregate_cmd =
             let vs =
               match vs with [ Jsont.Value.Arr vs ] -> vs | other -> other
             in
-            Array.of_list (List.map Jquery.Mongo_agg.doc_of_value vs)
+            Par.Batch.map ~jobs:obs.jobs
+              (on_lane (fun v -> f (Jquery.Mongo_agg.doc_of_value v)))
+              (Array.of_list vs)
         in
         let out =
           if via_jnl then
-            let vs =
-              Array.to_list (Array.map Jquery.Mongo_agg.doc_value docs)
-            in
+            (* the JNL route takes the whole collection: the lanes only
+               ingest *)
+            let vs = Array.to_list (shard Jquery.Mongo_agg.doc_value) in
             match
               Obs.Metrics.span "phase.eval" (fun () ->
                   Jquery.Mongo_agg.run_via_jnl pl vs)
@@ -369,16 +404,16 @@ let aggregate_cmd =
             | Ok vs -> vs
             | Error m -> failwith ("--via-jnl: " ^ m)
           else
-            Obs.Metrics.span "phase.eval" @@ fun () ->
             let streaming, blocking = Jquery.Mongo_agg.split_streaming pl in
             let per_doc =
-              Par.Batch.map ~jobs:obs.jobs
-                (Jquery.Mongo_agg.apply_doc streaming)
-                docs
+              shard (fun d ->
+                  Obs.Metrics.span "phase.eval" (fun () ->
+                      Jquery.Mongo_agg.apply_doc streaming d))
             in
-            let flat = List.concat (Array.to_list per_doc) in
+            Obs.Metrics.span "phase.eval" @@ fun () ->
             List.map Jquery.Mongo_agg.doc_value
-              (Jquery.Mongo_agg.run_docs blocking flat)
+              (Jquery.Mongo_agg.run_docs blocking
+                 (List.concat (Array.to_list per_doc)))
         in
         List.iter (fun v -> print_endline (Jsont.Printer.compact v)) out)
   in
@@ -527,10 +562,7 @@ let validate_cmd =
                 (* direct one-pass ingestion: text straight to the flat
                    tree, validated there — no Value.t intermediate *)
                 let tree =
-                  match
-                    Jsont.Tree.of_string ~budget:(obs.fresh_budget ())
-                      (read_input path)
-                  with
+                  match ingest_tree obs path with
                   | Ok t -> t
                   | Error e ->
                     failwith (Format.asprintf "%a" Jsont.Parser.pp_error e)

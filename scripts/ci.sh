@@ -789,12 +789,117 @@ ag1=$(timeout 120 "$JSONLOGIC" aggregate --files-from "$ag_list" --jobs 1 \
   "$grp_pl")
 ag2=$(timeout 120 "$JSONLOGIC" aggregate --files-from "$ag_list" --jobs 2 \
   "$grp_pl")
-rm -rf "$agdir"
 if [ "$ag1" != "$ag2" ] || [ -z "$ag1" ]; then
   echo "FAIL: aggregate --jobs 1 and --jobs 2 disagree" >&2
   printf '%s\n---\n%s\n' "$ag1" "$ag2" >&2
   exit 1
 fi
+
+# Aggregation CLI wiring, part 3: the --via-jnl route ingests
+# --files-from on the same lanes as the direct engine and must print
+# the same bytes on the navigational pipeline.
+for jobs in 1 2; do
+  agf_direct=$(timeout 120 "$JSONLOGIC" aggregate --files-from "$ag_list" \
+    --jobs "$jobs" "$nav_pl")
+  agf_jnl=$(timeout 120 "$JSONLOGIC" aggregate --via-jnl \
+    --files-from "$ag_list" --jobs "$jobs" "$nav_pl")
+  if [ "$agf_direct" != "$agf_jnl" ] || [ -z "$agf_direct" ]; then
+    echo "FAIL: aggregate --files-from and --via-jnl --files-from disagree (--jobs $jobs)" >&2
+    printf '%s\n---\n%s\n' "$agf_direct" "$agf_jnl" | head -20 >&2
+    exit 1
+  fi
+done
+
+# Aggregation CLI wiring, part 4: counter totals of a sharded run
+# (ingest, pipeline stages, batch size) are independent of --jobs;
+# timing lines (count=...) are excluded.
+agg_counters() {
+  timeout 120 "$JSONLOGIC" aggregate --metrics --files-from "$ag_list" \
+    --jobs "$1" "$grp_pl" 2>&1 >/dev/null \
+    | grep -E '^(parse\.direct\.|mongo\.agg\.|par\.batch\.docs)' \
+    | grep -v 'count='
+}
+agc1=$(agg_counters 1)
+agc2=$(agg_counters 2)
+case $agc1 in
+  *"parse.direct.docs"*"par.batch.docs"*|*"par.batch.docs"*"parse.direct.docs"*) ;;
+  *) echo "FAIL: aggregate --metrics lacks ingest/batch counters: $agc1" >&2
+     exit 1 ;;
+esac
+if [ "$agc1" != "$agc2" ]; then
+  echo "FAIL: aggregate --metrics counters differ between --jobs 1 and 2" >&2
+  printf '%s\n---\n%s\n' "$agc1" "$agc2" >&2
+  exit 1
+fi
+
+# Unreadable inputs: a missing file is an `error:` line and exit 1
+# on every route that reads one, never an uncaught Sys_error (exit 125).
+expect_missing() {
+  what=$1
+  shift
+  mstatus=0
+  mout=$(timeout 60 "$JSONLOGIC" "$@" 2>&1 >/dev/null) || mstatus=$?
+  case $mstatus:$mout in
+    "1:error: "*"No such file"*) ;;
+    *) echo "FAIL: $what on a missing file: exit $mstatus ($mout)" >&2
+       exit 1 ;;
+  esac
+}
+missing="$agdir/no-such-file.json"
+expect_missing "eval" eval 'true' "$missing"
+expect_missing "aggregate --from" aggregate --from "x=$missing" '[]' \
+  "$agdir/doc1.json"
+printf '%s\n%s\n' "$agdir/doc1.json" "$missing" > "$agdir/missing_list"
+expect_missing "aggregate --files-from" aggregate \
+  --files-from "$agdir/missing_list" '[]'
+
+# Deterministic first error: with several bad entries in a
+# --files-from list, stderr and exit status are identical at --jobs 1
+# and 2 and name the first bad entry in list order, whatever order the
+# lanes finish in.  Bad entries are malformed files, a missing path,
+# and (under --fuel) documents too large for the per-document budget.
+printf '{"a": [1, 2' > "$agdir/bad1.json"
+printf '{"a" 1}' > "$agdir/bad2.json"
+big='{"a":['
+for i in $(seq 1 60); do big="$big$i,"; done
+printf '%s0]}' "$big" > "$agdir/big1.json"
+cp "$agdir/big1.json" "$agdir/big2.json"
+first_error_gate() {
+  # $1: list file, $2: the entry its error must name; rest: extra flags
+  fe_list=$1
+  fe_first=$2
+  shift 2
+  fe1_status=0
+  fe1=$(timeout 120 "$JSONLOGIC" aggregate --files-from "$fe_list" \
+    --jobs 1 "$@" "$grp_pl" 2>&1 >/dev/null) || fe1_status=$?
+  fe2_status=0
+  fe2=$(timeout 120 "$JSONLOGIC" aggregate --files-from "$fe_list" \
+    --jobs 2 "$@" "$grp_pl" 2>&1 >/dev/null) || fe2_status=$?
+  if [ "$fe1_status" != 1 ] || [ "$fe2_status" != 1 ] \
+    || [ "$fe1" != "$fe2" ]; then
+    echo "FAIL: first error differs across --jobs (exits $fe1_status/$fe2_status)" >&2
+    printf '%s\n---\n%s\n' "$fe1" "$fe2" >&2
+    exit 1
+  fi
+  case $fe1 in
+    "error: $fe_first: "*) ;;
+    *) echo "FAIL: first error does not name $fe_first: $fe1" >&2
+       exit 1 ;;
+  esac
+}
+fe_good() {
+  for i in $(seq 1 40); do echo "$agdir/doc$i.json"; done
+}
+{ fe_good; echo "$agdir/bad1.json"; echo "$missing"
+  echo "$agdir/doc41.json"; echo "$agdir/bad2.json"; } > "$agdir/bad_list"
+first_error_gate "$agdir/bad_list" "$agdir/bad1.json"
+{ fe_good; echo "$missing"; echo "$agdir/bad1.json"
+  echo "$agdir/bad2.json"; } > "$agdir/missing_first_list"
+first_error_gate "$agdir/missing_first_list" "$missing"
+{ fe_good; echo "$agdir/big1.json"; echo "$agdir/doc41.json"
+  echo "$agdir/big2.json"; } > "$agdir/fuel_list"
+first_error_gate "$agdir/fuel_list" "$agdir/big1.json" --fuel 100
+rm -rf "$agdir"
 
 # Mongo bench agreement mode: cross-jobs byte identity + counter
 # totals and the direct-vs-JNL navigational differential are gated in

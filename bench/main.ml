@@ -596,38 +596,44 @@ let strm () =
         Jsl.dia_key "id" (Jsl.Test Jsl.Is_int);
         Jsl.dia_key "name" (Jsl.dia_key "first" (Jsl.Test Jsl.Is_str)) ]
   in
-  row "%-12s %-14s %-16s %-16s %-12s\n" "|J| (nodes)" "tokens" "tree eval (ms)"
+  let phi_plan = Jschema.Validate.Plan.of_jsl phi in
+  let all_agree = ref true in
+  row "%-12s %-14s %-16s %-16s %-12s\n" "|J| (nodes)" "values" "tree eval (ms)"
     "stream (ms)" "peak obls";
-  List.iter
-    (fun n ->
-      let rng = Jworkload.Prng.create 8 in
-      let payload = Jworkload.Gen_json.sized rng n in
-      let doc =
-        Value.Obj
-          [ ("id", Value.Num 7);
-            ("name", Value.Obj [ ("first", Value.Str "John") ]);
-            ("payload", payload) ]
-      in
-      let text = Value.to_string doc in
-      let ns_tree =
-        measure_ns ~name:"bench.strm.tree" (fun () ->
-            ignore (Jsl.validates doc phi))
-      in
-      let ns_stream =
-        measure_ns ~name:"bench.strm.stream" (fun () ->
-            ignore (Stream.validate text phi))
-      in
-      match Stream.validate_with_stats text phi with
-      | Ok (_, stats) ->
+  let peaks =
+    List.map
+      (fun n ->
+        let rng = Jworkload.Prng.create 8 in
+        let payload = Jworkload.Gen_json.sized rng n in
+        let doc =
+          Value.Obj
+            [ ("id", Value.Num 7);
+              ("name", Value.Obj [ ("first", Value.Str "John") ]);
+              ("payload", payload) ]
+        in
+        let text = Value.to_string doc in
+        let ns_tree =
+          measure_ns ~name:"bench.strm.tree" (fun () ->
+              ignore (Jsl.validates doc phi))
+        in
+        let ns_stream =
+          measure_ns ~name:"bench.strm.stream" (fun () ->
+              ignore (Jschema.Validate.Plan.run_stream phi_plan text))
+        in
+        let ok, stats = Jschema.Validate.Plan.run_stream_stats phi_plan text in
+        if ok <> Jsl.validates doc phi then all_agree := false;
         row "%-12d %-14d %-16.3f %-16.3f %-12d\n" (Value.size doc)
-          stats.Stream.tokens (ns_tree /. 1e6) (ns_stream /. 1e6)
-          stats.Stream.peak_obligations
-      | Error m -> row "stream error: %s\n" m)
-    [ 1_000; 8_000; 64_000 ];
-  row "(peak obligations must stay flat as |J| grows — the conjectured bound)\n";
+          stats.Jschema.Validate.Plan.values (ns_tree /. 1e6) (ns_stream /. 1e6)
+          stats.Jschema.Validate.Plan.peak_obligations;
+        stats.Jschema.Validate.Plan.peak_obligations)
+      [ 1_000; 8_000; 64_000 ]
+  in
+  let flat = List.for_all (( = ) (List.hd peaks)) peaks in
+  if not flat then all_agree := false;
+  row "(peak obligations must stay flat as |J| grows — the conjectured bound)%s\n"
+    (if flat then "" else "  ** NOT FLAT **");
 
   (* -- schema validation over the token stream (Validate.Plan.run_stream) -- *)
-  let all_agree = ref true in
   row "\nschema validation off the token stream (compiled plan):\n";
   let schema = Jschema.Parse.of_string_exn Jworkload.Catalog.catalog_schema in
   let plan = Jschema.Validate.Plan.compile schema in

@@ -1,11 +1,13 @@
 (* Streaming validation: the §6 conjecture in action.  A JSON-lines
    feed is validated against a deterministic JSL schema without
    building any tree — memory stays bounded by the formula, not the
-   documents.
+   documents.  The formula is compiled once into a validation plan and
+   checked by the same streaming executor as [validate --stream].
 
    Run with: dune exec examples/streaming_validation.exe *)
 
 module Value = Jsont.Value
+module Plan = Jschema.Validate.Plan
 open Jlogic
 
 let () =
@@ -17,9 +19,13 @@ let () =
         Jsl.dia_key "seq" (Jsl.Test (Jsl.Min 0));
         Jsl.box_key "payload" (Jsl.Test (Jsl.Min_ch 0)) ]
   in
-  (match Stream.supported event_schema with
-  | Ok () -> print_endline "schema is in the streamable deterministic fragment"
-  | Error m -> failwith ("not streamable: " ^ m));
+  if Jsl.is_deterministic event_schema && not (Jsl.uses_unique event_schema)
+  then print_endline "schema is in the streamable deterministic fragment"
+  else failwith "not streamable";
+  let plan = Plan.of_jsl event_schema in
+  let validate line =
+    Jsont.Parser.wrap (fun () -> Plan.run_stream_stats plan line)
+  in
 
   (* build a feed: 1000 events, a few malformed *)
   let rng = Jworkload.Prng.create 99 in
@@ -42,16 +48,11 @@ let () =
   let t0 = Sys.time () in
   List.iter
     (fun line ->
-      match Stream.validate_with_stats line event_schema with
-      | Ok (true, stats) ->
-        incr valid;
-        if stats.Stream.peak_obligations > !peak then
-          peak := stats.Stream.peak_obligations
-      | Ok (false, stats) ->
-        incr invalid;
-        if stats.Stream.peak_obligations > !peak then
-          peak := stats.Stream.peak_obligations
-      | Error m -> Printf.printf "lex/parse error: %s\n" m)
+      match validate line with
+      | Ok (ok, stats) ->
+        incr (if ok then valid else invalid);
+        peak := max !peak stats.Plan.peak_obligations
+      | Error e -> Format.printf "lex/parse error: %a@." Jsont.Parser.pp_error e)
     lines;
   let dt = Sys.time () -. t0 in
   Printf.printf "valid=%d invalid=%d  (%d corrupted on purpose)\n" !valid !invalid
@@ -67,9 +68,10 @@ let () =
         ("seq", Value.Num 1);
         ("payload", Jworkload.Gen_json.sized (Jworkload.Prng.create 1) 200_000) ]
   in
-  match Stream.validate_with_stats (Value.to_string huge) event_schema with
+  match validate (Value.to_string huge) with
   | Ok (ok, stats) ->
     Printf.printf
-      "\n200k-value document: valid=%b, %d tokens, peak obligations still %d\n" ok
-      stats.Stream.tokens stats.Stream.peak_obligations
-  | Error m -> print_endline m
+      "\n200k-value document: valid=%b, %d values streamed, peak obligations \
+       still %d\n"
+      ok stats.Plan.values stats.Plan.peak_obligations
+  | Error e -> Format.printf "%a@." Jsont.Parser.pp_error e

@@ -69,20 +69,12 @@ let rec uses_unique = function
 
 (* A modality is deterministic when its key expression is a single word
    or its range a single index. *)
-let is_word e =
-  let rec go = function
-    | Rexp.Syntax.Epsilon -> true
-    | Rexp.Syntax.Chars cs -> Rexp.Charset.cardinal cs = 1
-    | Rexp.Syntax.Cat (a, b) -> go a && go b
-    | Rexp.Syntax.Empty | Rexp.Syntax.Alt _ | Rexp.Syntax.Star _ -> false
-  in
-  go e
-
 let rec is_deterministic = function
   | True | Test _ | Var _ -> true
   | Not f -> is_deterministic f
   | And (a, b) | Or (a, b) -> is_deterministic a && is_deterministic b
-  | Dia_keys (e, f) | Box_keys (e, f) -> is_word e && is_deterministic f
+  | Dia_keys (e, f) | Box_keys (e, f) ->
+    Option.is_some (Rexp.Syntax.as_word e) && is_deterministic f
   | Dia_range (i, Some j, f) | Box_range (i, Some j, f) ->
     i = j && is_deterministic f
   | Dia_range (_, None, f) | Box_range (_, None, f) ->
@@ -99,6 +91,36 @@ let free_vars f =
     | And (a, b) | Or (a, b) -> go (go acc a) b
   in
   List.rev (go [] f)
+
+(* ~(A) against a constant compiled away into deterministic structure *)
+let rec eq_formula (v : Jsont.Value.t) : t =
+  match v with
+  | Jsont.Value.Num n -> conj [ Test Is_int; Test (Min n); Test (Max n) ]
+  | Jsont.Value.Str s -> And (Test Is_str, Test (Pattern (Rexp.Syntax.literal s)))
+  | Jsont.Value.Arr vs ->
+    let n = List.length vs in
+    conj
+      (Test Is_arr :: Test (Min_ch n) :: Test (Max_ch n)
+      :: List.mapi (fun i v -> dia_idx i (eq_formula v)) vs)
+  | Jsont.Value.Obj kvs ->
+    let n = List.length kvs in
+    (* distinct keys + arity = n pins the object exactly *)
+    conj
+      (Test Is_obj :: Test (Min_ch n) :: Test (Max_ch n)
+      :: List.map (fun (k, v) -> dia_key k (eq_formula v)) kvs)
+
+let rec expand_eq f =
+  match f with
+  | True | Var _ -> f
+  | Test (Eq_doc v) -> eq_formula v
+  | Test _ -> f
+  | Not g -> Not (expand_eq g)
+  | And (a, b) -> And (expand_eq a, expand_eq b)
+  | Or (a, b) -> Or (expand_eq a, expand_eq b)
+  | Dia_keys (e, g) -> Dia_keys (e, expand_eq g)
+  | Box_keys (e, g) -> Box_keys (e, expand_eq g)
+  | Dia_range (i, j, g) -> Dia_range (i, j, expand_eq g)
+  | Box_range (i, j, g) -> Box_range (i, j, expand_eq g)
 
 let rec modal_depth = function
   | True | Test _ | Var _ -> 0

@@ -71,6 +71,13 @@ val is_deterministic : t -> bool
 val free_vars : t -> string list
 (** Recursion symbols occurring in the formula, without duplicates. *)
 
+val expand_eq : t -> t
+(** Rewrite every [~(A)] node test into an equivalent deterministic
+    formula over the structure of [A] (kind, arity, and per-key /
+    per-index equalities), so a test against a constant never needs
+    the subtree it is applied to.  [EQ(α,β)] between two subtrees is
+    not a node test and stays out of reach, as §6 requires. *)
+
 val modal_depth : t -> int
 (** Maximal nesting of modalities — bounds the height of models of
     non-recursive formulas (used by satisfiability search, Prop 7). *)

@@ -425,6 +425,9 @@ type stream_state = {
   s_closures : (int list, closure) Hashtbl.t;
     (* closures depend only on the requested set, which repeats for
        every element of a homogeneous array — cache them per run *)
+  mutable s_values : int;  (* values decided in the stream, not skipped *)
+  mutable s_live : int;  (* closure ids summed over the open frames *)
+  mutable s_peak : int;  (* high-water mark of [s_live] *)
 }
 
 let closure st p requested =
@@ -467,6 +470,7 @@ let rec stream_value st p requested depth =
   let pos, tok = Lexer.peek st.s_lx in
   Parser.guard ~units:(1 + n) st.s_budget pos depth;
   Obs.Metrics.incr "parse.values";
+  st.s_values <- st.s_values + 1;
   let must_spill =
     c.c_cyclic
     ||
@@ -477,6 +481,8 @@ let rec stream_value st p requested depth =
   in
   if must_spill then spill st p requested depth
   else begin
+    st.s_live <- st.s_live + n;
+    if st.s_live > st.s_peak then st.s_peak <- st.s_live;
     let nodes = p.nodes in
     let structural = Array.make n false in
     let scalar_int v =
@@ -525,6 +531,7 @@ let rec stream_value st p requested depth =
     done;
     let tbl = Hashtbl.create (2 * n) in
     Array.iteri (fun i id -> Hashtbl.replace tbl id finals.(i)) ids;
+    st.s_live <- st.s_live - n;
     tbl
   end
 
@@ -692,18 +699,34 @@ and spill st p requested depth =
     requested;
   tbl
 
-let run_lexer ?(budget = Obs.Budget.unlimited) ?(mode = `Strict) p lx =
+type stream_stats = { values : int; peak_obligations : int }
+
+let stream_run budget mode p lx =
   Obs.Metrics.incr "validate.stream.runs";
   let st =
     { s_budget = budget;
       s_mode = mode;
       s_lx = lx;
-      s_closures = Hashtbl.create 16 }
+      s_closures = Hashtbl.create 16;
+      s_values = 0;
+      s_live = 0;
+      s_peak = 0 }
   in
   let tbl = stream_value st p [ p.root ] 0 in
   let pos, tok = Lexer.next lx in
   if tok <> Lexer.Eof then Parser.unexpected pos tok "end of input";
-  Hashtbl.find tbl p.root
+  (Hashtbl.find tbl p.root, st)
+
+let run_lexer ?(budget = Obs.Budget.unlimited) ?(mode = `Strict) p lx =
+  fst (stream_run budget mode p lx)
 
 let run_stream ?budget ?mode p input =
   run_lexer ?budget ?mode p (Lexer.create input)
+
+let run_stream_stats p input =
+  let ok, st = stream_run Obs.Budget.unlimited `Strict p (Lexer.create input) in
+  (ok, { values = st.s_values; peak_obligations = st.s_peak })
+
+(* ---- deterministic JSL (the §6 conjecture) ------------------------------- *)
+
+let of_jsl f = compile (Schema.plain (Of_jsl.schema (Jlogic.Jsl.expand_eq f)))

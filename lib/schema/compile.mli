@@ -113,3 +113,39 @@ val run_lexer :
     file read in fixed-size slices — without ever holding the document
     in memory, and (by the lexer's resumption contract) with verdicts,
     errors and fuel charges byte-identical to the one-shot path. *)
+
+type stream_stats = {
+  values : int;
+      (** values decided in the stream; skipped subtrees are not
+          counted *)
+  peak_obligations : int;
+      (** the most plan ids live at once, summed over the open
+          frames' same-node closures — the memory the stream needs
+          beyond nesting depth *)
+}
+
+val run_stream_stats : t -> string -> bool * stream_stats
+(** {!run_stream} with the default (unlimited) budget and strict mode
+    that also reports how much work and how many live obligations the
+    run took.  Same verdicts, errors and fuel. *)
+
+(** {1 Deterministic JSL (the §6 conjecture)}
+
+    The paper conjectures that deterministic JNL/JSL can be evaluated
+    over a stream "with constant memory requirements when tree
+    equality is excluded".  For closed JSL formulas that are
+    {!Jlogic.Jsl.is_deterministic} after {!Jlogic.Jsl.expand_eq} and do
+    not use [Unique], [run_stream (of_jsl ϕ)] skips every subtree the
+    formula does not address and never spills, so [peak_obligations]
+    is bounded by the plan size times one plus the modal depth,
+    whatever the document.  Ranges and regular key expressions stream
+    the same way; only [Unique] spills its array into a tree. *)
+
+val of_jsl : Jlogic.Jsl.t -> t
+(** [of_jsl ϕ] compiles [ϕ] through {!Jlogic.Jsl.expand_eq} and the
+    Theorem 1 translation {!Of_jsl.schema}:
+    [run_stream (of_jsl ϕ) (Value.to_string v) = Jsl.validates v ϕ].
+    A single index [i] costs a plan linear in [i], so a [~(A)] test on
+    an [n]-element array constant, which expands to one index test per
+    element, costs a plan of size and compile time O(n²).
+    @raise Invalid_argument on free recursion symbols. *)

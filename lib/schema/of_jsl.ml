@@ -3,8 +3,12 @@ let s_true : Schema.t = []
 
 let repeat n (x : Schema.t) = List.init n (fun _ -> x)
 
-(* an array of exactly [k] unconstrained elements *)
-let exact_array k : Schema.t = [ Schema.C_type Schema.T_array; Schema.C_items (repeat k s_true) ]
+(* arrays of at least [k] elements; its negation holds at non-arrays
+   and at arrays of at most [k-1] elements *)
+let at_least k : Schema.t =
+  [ Schema.C_type Schema.T_array;
+    Schema.C_items (repeat k s_true);
+    Schema.C_additional_items s_true ]
 
 let atoms : Schema.t list =
   [ [ Schema.C_type Schema.T_string ]; [ Schema.C_type Schema.T_number ] ]
@@ -33,8 +37,6 @@ let rec schema (f : Jlogic.Jsl.t) : Schema.t =
    validate [s]; anything that is not an array, or an array too short
    to reach position i, passes vacuously *)
 and box_range i j (s : Schema.t) : Schema.t =
-  (* lengths 0 .. i: position i does not exist, so the box is vacuous *)
-  let short = List.init (max (i + 1) 0) exact_array in
   let long =
     match j with
     | None ->
@@ -44,13 +46,9 @@ and box_range i j (s : Schema.t) : Schema.t =
     | Some j ->
       (* exact lengths i+1 .. j: positions i..len-1 constrained *)
       let middles =
-        List.init (max (j - i + 1) 0) (fun d ->
-            let len = i + 1 + d in
-            if len > j + 1 then []
-            else
-              [ Schema.C_type Schema.T_array;
-                Schema.C_items (repeat i s_true @ repeat (len - i) s) ])
-        |> List.filter (fun l -> l <> [])
+        List.init (max (j - i) 0) (fun d ->
+            [ Schema.C_type Schema.T_array;
+              Schema.C_items (repeat i s_true @ repeat (d + 1) s) ])
       in
       let beyond =
         [ Schema.C_type Schema.T_array;
@@ -59,7 +57,7 @@ and box_range i j (s : Schema.t) : Schema.t =
       in
       middles @ [ beyond ]
   in
-  any_of (([ Schema.C_type Schema.T_object ] :: atoms) @ short @ long)
+  any_of ([ Schema.C_not (at_least (i + 1)) ] :: long)
 
 and node_test (nt : Jlogic.Jsl.node_test) : Schema.t =
   match nt with
@@ -71,21 +69,20 @@ and node_test (nt : Jlogic.Jsl.node_test) : Schema.t =
   | Jlogic.Jsl.Pattern e -> [ Schema.C_type Schema.T_string; Schema.C_pattern e ]
   | Jlogic.Jsl.Min i -> [ Schema.C_type Schema.T_number; Schema.C_minimum i ]
   | Jlogic.Jsl.Max i -> [ Schema.C_type Schema.T_number; Schema.C_maximum i ]
+  | Jlogic.Jsl.Mult_of 0 -> [ Schema.C_not s_true ] (* holds nowhere *)
   | Jlogic.Jsl.Mult_of i -> [ Schema.C_type Schema.T_number; Schema.C_multiple_of i ]
   | Jlogic.Jsl.Min_ch i ->
     if i = 0 then s_true
     else
       any_of
         [ [ Schema.C_type Schema.T_object; Schema.C_min_properties i ];
-          [ Schema.C_type Schema.T_array;
-            Schema.C_items (repeat i s_true);
-            Schema.C_additional_items s_true ] ]
+          at_least i ]
   | Jlogic.Jsl.Max_ch i ->
     (* strings and numbers have 0 children and always qualify *)
     any_of
       (atoms
-      @ [ [ Schema.C_type Schema.T_object; Schema.C_max_properties i ] ]
-      @ List.init (i + 1) exact_array)
+      @ [ [ Schema.C_type Schema.T_object; Schema.C_max_properties i ];
+          [ Schema.C_type Schema.T_array; Schema.C_not (at_least (i + 1)) ] ])
   | Jlogic.Jsl.Eq_doc v -> [ Schema.C_enum [ v ] ]
 
 let document (r : Jlogic.Jsl_rec.t) : Schema.document =

@@ -1,14 +1,15 @@
 (* Tests for lib/obs: resource budgets, the metrics registry, and the
    budget threading through the parser, the evaluators, the streaming
    validator and the satisfiability search.  Includes the seeded
-   differential fuzz between Stream.validate and tree-based Jsl
-   evaluation. *)
+   differential fuzz between streaming deterministic JSL through the
+   compiled plan and tree-based Jsl evaluation. *)
 
 open Jlogic
 module Value = Jsont.Value
 module Parser = Jsont.Parser
 module Printer = Jsont.Printer
 module Tree = Jsont.Tree
+module Plan = Jschema.Validate.Plan
 
 let contains needle s =
   let n = String.length needle and m = String.length s in
@@ -181,16 +182,31 @@ let test_parser_fuel () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "fuel 100 rejected a small document: %a" Parser.pp_error e
 
+(* streaming deterministic JSL (§6) through the compiled plan, with
+   errors rendered as the parser renders them *)
+let streamable f =
+  let f = Jsl.expand_eq f in
+  Jsl.is_deterministic f && (not (Jsl.uses_unique f)) && Jsl.free_vars f = []
+
+let stream ?budget text f =
+  match Parser.wrap (fun () -> Plan.run_stream ?budget (Plan.of_jsl f) text) with
+  | Ok b -> Ok b
+  | Error e -> Error (Format.asprintf "%a" Parser.pp_error e)
+
 let test_stream_100k_deep () =
-  (* Stream.validate applies the same default depth budget *)
-  (match Stream.validate (nested_array_text 100_000) Jsl.True with
+  (* under the default depth budget the stream stops like the parser *)
+  (match
+     stream
+       ~budget:(Obs.Budget.depth_limited Obs.Budget.default_max_depth)
+       (nested_array_text 100_000) Jsl.True
+   with
   | Ok _ -> Alcotest.fail "100k-deep input must exhaust the default stream budget"
   | Error m ->
     Alcotest.(check bool) ("mentions depth: " ^ m) true (contains "depth" m));
   (* a generous explicit budget lifts the ceiling: the engine itself is
      iterative, so 100k of nesting is fine once allowed *)
   match
-    Stream.validate ~budget:(Obs.Budget.depth_limited 200_000)
+    stream ~budget:(Obs.Budget.depth_limited 200_000)
       (nested_array_text 100_000) Jsl.True
   with
   | Ok true -> ()
@@ -262,9 +278,9 @@ let test_construct_counters () =
            (Jnl.Eq_doc (Jnl.Self, Parser.parse_exn {|{"a":[1,2,1]}|})));
       Alcotest.(check bool) "jnl.eq_doc counted" true
         (Obs.Metrics.counter_value "jnl.eq_doc" > 0);
-      ignore (Stream.validate "[1,2]" Jsl.True);
-      Alcotest.(check bool) "stream.tokens counted" true
-        (Obs.Metrics.counter_value "stream.tokens" > 0))
+      ignore (stream "[1,2]" Jsl.True);
+      Alcotest.(check bool) "validate.stream.runs counted" true
+        (Obs.Metrics.counter_value "validate.stream.runs" > 0))
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzz: streaming vs tree evaluation                      *)
@@ -277,18 +293,17 @@ let test_differential_stream_vs_tree () =
   for i = 1 to 500 do
     let doc = Jworkload.Gen_json.sized rng (1 + Jworkload.Prng.int rng 120) in
     let f = Jworkload.Gen_formula.jsl rng cfg in
-    match Stream.supported f with
-    | Error _ -> ()
-    | Ok () ->
+    if streamable f then begin
       incr checked;
       let text = Printer.compact doc in
       let via_tree = Jsl.validates doc f in
-      (match Stream.validate text f with
+      match stream text f with
       | Ok via_stream ->
         if via_stream <> via_tree then
           Alcotest.failf "pair %d: stream=%b tree=%b on %s" i via_stream
             via_tree text
-      | Error m -> Alcotest.failf "pair %d: stream error %s on %s" i m text)
+      | Error m -> Alcotest.failf "pair %d: stream error %s on %s" i m text
+    end
   done;
   (* the deterministic default config must stay streamable, otherwise
      the differential loses its teeth silently *)
@@ -302,13 +317,13 @@ let test_differential_stream_vs_tree () =
 (* byte-for-byte on errors and budgets                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* smallest fuel allowance under which [validate] stops raising budget
-   errors — by construction the token count, since the engine burns one
-   unit per token on both the evaluating and the skipping path *)
+(* smallest fuel allowance under which [stream] stops raising budget
+   errors — by construction the plan's charge: one unit per skipped
+   value, one plus the active closure size per streamed value *)
 let fuel_needed ?(max_depth = Obs.Budget.default_max_depth) text f =
   let done_at fuel =
     match
-      Stream.validate ~budget:(Obs.Budget.create ~fuel ~max_depth ()) text f
+      stream ~budget:(Obs.Budget.create ~fuel ~max_depth ()) text f
     with
     | Ok _ -> true
     | Error _ -> false
@@ -323,7 +338,7 @@ let fuel_needed ?(max_depth = Obs.Budget.default_max_depth) text f =
   bin 1 (up 1)
 
 let stream_error text f =
-  match Stream.validate text f with
+  match stream text f with
   | Ok ok -> Alcotest.failf "expected an error, got %b on %s" ok text
   | Error m -> m
 
@@ -363,14 +378,14 @@ let test_skip_checks_depth () =
   let text = Printf.sprintf {|{"pad":%s,"a":1}|} pad in
   let tight () = Obs.Budget.depth_limited 50 in
   (match
-     Stream.validate ~budget:(tight ()) text
+     stream ~budget:(tight ()) text
        (Jsl.dia_key "a" (Jsl.Test Jsl.Is_int))
    with
   | Error m ->
     Alcotest.(check bool) ("mentions depth: " ^ m) true (contains "depth" m)
   | Ok _ -> Alcotest.fail "skipped 200-deep pad must exhaust depth 50");
   let err f =
-    match Stream.validate ~budget:(tight ()) text f with
+    match stream ~budget:(tight ()) text f with
     | Error m -> m
     | Ok ok -> Alcotest.failf "expected exhaustion, got %b" ok
   in
@@ -392,7 +407,7 @@ let test_skip_string_escapes () =
   List.iter
     (fun pad ->
       let text = Printf.sprintf {|{"pad":%s,"a":1}|} pad in
-      match Stream.validate text (Jsl.dia_key "a" (Jsl.Test Jsl.Is_int)) with
+      match stream text (Jsl.dia_key "a" (Jsl.Test Jsl.Is_int)) with
       | Ok true -> ()
       | Ok false -> Alcotest.failf "doc with pad %s must validate" pad
       | Error m -> Alcotest.failf "pad %s skipped with error %s" pad m)
@@ -411,8 +426,10 @@ let test_skip_string_escapes () =
 
 let test_skip_fuel_parity_at_every_offset () =
   (* an array of alternating 1k-deep and flat elements, the formula
-     evaluating exactly one position: whichever offsets are skipped,
-     the fuel demand is the token count — identical for every choice *)
+     evaluating exactly one position: every element is streamed, the
+     addressed one against one more subformula wherever it sits, and
+     everything below the elements is skipped at one unit per value,
+     so the fuel demand is identical for every choice *)
   let deep = nested_array_text 1_000 in
   let n = 6 in
   let elems =
@@ -423,7 +440,7 @@ let test_skip_fuel_parity_at_every_offset () =
     List.init n (fun i ->
         let f = Jsl.dia_idx i Jsl.True in
         (match
-           Stream.validate ~budget:(Obs.Budget.depth_limited 2_000) text f
+           stream ~budget:(Obs.Budget.depth_limited 2_000) text f
          with
         | Ok true -> ()
         | Ok false -> Alcotest.failf "index %d must exist" i
@@ -455,21 +472,20 @@ let test_differential_skip_padding () =
   for i = 1 to 300 do
     let doc = Jworkload.Gen_json.sized rng (1 + Jworkload.Prng.int rng 60) in
     let f = Jworkload.Gen_formula.jsl rng cfg in
-    match Stream.supported f with
-    | Error _ -> ()
-    | Ok () ->
+    if streamable f then begin
       incr checked;
       let pad = pads.(i mod Array.length pads) in
       let text =
         Printf.sprintf {|{"pad":%s,"doc":%s}|} pad (Printer.compact doc)
       in
       let via_tree = Jsl.validates doc f in
-      (match Stream.validate text (Jsl.dia_key "doc" f) with
+      match stream text (Jsl.dia_key "doc" f) with
       | Ok via_stream ->
         if via_stream <> via_tree then
           Alcotest.failf "pair %d: stream=%b tree=%b on %s" i via_stream
             via_tree text
-      | Error m -> Alcotest.failf "pair %d: stream error %s on %s" i m text)
+      | Error m -> Alcotest.failf "pair %d: stream error %s on %s" i m text
+    end
   done;
   Alcotest.(check bool)
     (Printf.sprintf "enough streamable pairs (%d/300)" !checked)
@@ -483,7 +499,7 @@ let test_differential_budget_exhaustion () =
   let text = Printer.compact doc in
   let f = Jsl.Test Jsl.Is_arr in
   let tight () = Obs.Budget.depth_limited 50 in
-  (match Stream.validate ~budget:(tight ()) text f with
+  (match stream ~budget:(tight ()) text f with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "stream must exhaust at depth 50");
   match Jsl.validates_bounded ~budget:(tight ()) doc f with

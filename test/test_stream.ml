@@ -1,41 +1,59 @@
-(* Tests for the streaming validator (the §6 conjecture). *)
+(* Tests for streaming deterministic JSL (the §6 conjecture) through the
+   compiled plan: [Plan.run_stream (Plan.of_jsl ϕ)]. *)
 
 open Jlogic
 module Value = Jsont.Value
+module Plan = Jschema.Validate.Plan
 
 let re = Rexp.Parse.parse_exn
 
+(* the conjecture's fragment: closed, deterministic, no [Unique] once
+   ~(A) tests are expanded *)
+let streamable f =
+  let f = Jsl.expand_eq f in
+  Jsl.is_deterministic f && (not (Jsl.uses_unique f)) && Jsl.free_vars f = []
+
+let stream_stats text f =
+  match Jsont.Parser.wrap (fun () -> Plan.run_stream_stats (Plan.of_jsl f) text) with
+  | Ok r -> Ok r
+  | Error e -> Error (Format.asprintf "%a" Jsont.Parser.pp_error e)
+
+let stream text f = Result.map fst (stream_stats text f)
+
 let stream_validates text f =
-  match Stream.validate text f with
+  match stream text f with
   | Ok b -> b
   | Error m -> Alcotest.failf "stream error on %s: %s" text m
 
+(* deterministic JNL streams through the Theorem 2 translation *)
+let stream_jnl text phi =
+  match Translate.jnl_to_jsl phi with
+  | Error m -> Error ("not streamable: " ^ m)
+  | Ok f when not (streamable f) -> Error "not streamable"
+  | Ok f -> stream text f
+
 let test_supported () =
-  (match Stream.supported (Jsl.dia_key "a" (Jsl.Test Jsl.Is_int)) with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
-  (match Stream.supported (Jsl.Test Jsl.Unique) with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "Unique must be unsupported");
-  (match Stream.supported (Jsl.Dia_keys (re "a|b", Jsl.True)) with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "regex modality must be unsupported");
-  (match Stream.supported (Jsl.Dia_range (0, None, Jsl.True)) with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "unbounded range must be unsupported");
+  Alcotest.(check bool) "deterministic key" true
+    (streamable (Jsl.dia_key "a" (Jsl.Test Jsl.Is_int)));
+  Alcotest.(check bool) "Unique must be unsupported" false
+    (streamable (Jsl.Test Jsl.Unique));
+  Alcotest.(check bool) "regex modality must be unsupported" false
+    (streamable (Jsl.Dia_keys (re "a|b", Jsl.True)));
+  Alcotest.(check bool) "unbounded range must be unsupported" false
+    (streamable (Jsl.Dia_range (0, None, Jsl.True)));
   (* ~(A) is fine: compiled away *)
-  match Stream.supported (Jsl.Test (Jsl.Eq_doc (Jsont.Parser.parse_exn {|{"a":[1]}|}))) with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m
+  Alcotest.(check bool) "~(A) is expanded" true
+    (streamable (Jsl.Test (Jsl.Eq_doc (Jsont.Parser.parse_exn {|{"a":[1]}|}))))
 
 let test_expand_eq () =
   let v = Jsont.Parser.parse_exn {|{"a":[1,"x"],"b":{}}|} in
-  let f = Stream.expand_eq (Jsl.Test (Jsl.Eq_doc v)) in
+  let f = Jsl.expand_eq (Jsl.Test (Jsl.Eq_doc v)) in
   Alcotest.(check bool) "expanded formula deterministic" true (Jsl.is_deterministic f);
-  (* semantics preserved *)
+  (* semantics preserved, on both the tree and the stream *)
   List.iter
     (fun (expected, d) ->
-      Alcotest.(check bool) d expected (Jsl.validates (Jsont.Parser.parse_exn d) f))
+      Alcotest.(check bool) d expected (Jsl.validates (Jsont.Parser.parse_exn d) f);
+      Alcotest.(check bool) ("stream " ^ d) expected (stream_validates d f))
     [ (true, {|{"a":[1,"x"],"b":{}}|});
       (true, {|{"b":{},"a":[1,"x"]}|});
       (false, {|{"a":[1,"x"]}|});
@@ -67,7 +85,7 @@ let test_stream_malformed () =
   let phi = Jsl.Test Jsl.Is_obj in
   List.iter
     (fun text ->
-      match Stream.validate text phi with
+      match stream text phi with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "expected stream error on %s" text)
     [ "{"; "{\"a\":}"; "{\"a\":1,}"; "[1,]"; "true"; "{\"a\":1} trailing";
@@ -90,13 +108,12 @@ let gen_det_pair =
 let prop_stream_agrees_with_tree =
   QCheck.Test.make ~name:"streaming = tree-based evaluation" ~count:400 gen_det_pair
     (fun (doc, formula) ->
-      match Stream.supported formula with
-      | Error _ -> QCheck.assume_fail ()
-      | Ok () ->
+      if not (streamable formula) then QCheck.assume_fail ()
+      else
         let text = Value.to_string doc in
-        (match Stream.validate text formula with
+        match stream text formula with
         | Ok b -> b = Jsl.validates doc formula
-        | Error m -> QCheck.Test.fail_reportf "stream error: %s" m))
+        | Error m -> QCheck.Test.fail_reportf "stream error: %s" m)
 
 let test_constant_memory () =
   (* peak obligations must not grow with document size *)
@@ -109,43 +126,71 @@ let test_constant_memory () =
           Value.Obj
             [ ("id", Value.Num 1); ("payload", Jworkload.Gen_json.sized rng n) ]
         in
-        match Stream.validate_with_stats (Value.to_string doc) phi with
-        | Ok (true, stats) -> stats.Stream.peak_obligations
+        match stream_stats (Value.to_string doc) phi with
+        | Ok (true, stats) -> stats.Plan.peak_obligations
         | Ok (false, _) -> Alcotest.fail "should validate"
         | Error m -> Alcotest.fail m)
       [ 100; 1_000; 10_000 ]
   in
-  match peaks with
-  | [ p1; p2; p3 ] ->
-    Alcotest.(check bool)
-      (Printf.sprintf "peaks stay flat (%d, %d, %d)" p1 p2 p3)
-      true
-      (p1 = p2 && p2 = p3)
-  | _ -> assert false
+  let flat peaks =
+    match peaks with
+    | [ p1; p2; p3 ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "peaks stay flat (%d, %d, %d)" p1 p2 p3)
+        true
+        (p1 = p2 && p2 = p3)
+    | _ -> assert false
+  in
+  flat peaks;
+  (* also when every element is streamed, not skipped: obligations are
+     released as each element's frame closes *)
+  let each = Jsl.Box_range (0, None, Jsl.dia_key "id" (Jsl.Test Jsl.Is_int)) in
+  flat
+    (List.map
+       (fun n ->
+         let text =
+           "[" ^ String.concat "," (List.init n (Printf.sprintf {|{"id":%d}|})) ^ "]"
+         in
+         match stream_stats text each with
+         | Ok (true, stats) ->
+           Alcotest.(check int) "root, elements and ids streamed" (1 + (2 * n))
+             stats.Plan.values;
+           stats.Plan.peak_obligations
+         | Ok (false, _) -> Alcotest.fail "should validate"
+         | Error m -> Alcotest.fail m)
+       [ 100; 1_000; 10_000 ])
 
-let test_tokens_counted () =
-  let phi = Jsl.Test Jsl.Is_obj in
-  match Stream.validate_with_stats {|{"a":1,"b":[2,3]}|} phi with
-  | Ok (true, stats) ->
-    Alcotest.(check bool) "tokens counted" true (stats.Stream.tokens >= 10)
-  | Ok (false, _) -> Alcotest.fail "should validate"
-  | Error m -> Alcotest.fail m
-
+let test_values_counted () =
+  (* only the values the formula addresses are streamed; the rest of
+     the document is skipped uncounted *)
+  let text = {|{"a":1,"b":[2,3]}|} in
+  let values f =
+    match stream_stats text f with
+    | Ok (true, stats) -> stats.Plan.values
+    | Ok (false, _) -> Alcotest.fail "should validate"
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check int) "root only" 1 (values (Jsl.Test Jsl.Is_obj));
+  Alcotest.(check int) "every value" 5
+    (values
+       (Jsl.conj
+          [ Jsl.dia_key "a" (Jsl.Test Jsl.Is_int);
+            Jsl.dia_key "b" (Jsl.And (Jsl.dia_idx 0 Jsl.True, Jsl.dia_idx 1 Jsl.True)) ]))
 
 let test_validate_jnl () =
   let phi = Jnl.parse_exn {|eq(.name.first, "John") & !<.archived>|} in
   let doc = {|{"name":{"first":"John"},"age":32}|} in
-  (match Stream.validate_jnl doc phi with
+  (match stream_jnl doc phi with
   | Ok b -> Alcotest.(check bool) "det JNL streams" true b
   | Error m -> Alcotest.fail m);
-  (match Stream.validate_jnl {|{"name":{"first":"Jane"}}|} phi with
+  (match stream_jnl {|{"name":{"first":"Jane"}}|} phi with
   | Ok b -> Alcotest.(check bool) "mismatch detected" false b
   | Error m -> Alcotest.fail m);
   (* non-deterministic / recursive formulas are rejected *)
-  (match Stream.validate_jnl doc (Jnl.Exists (Jnl.Star (Jnl.Key "a"))) with
+  (match stream_jnl doc (Jnl.Exists (Jnl.Star (Jnl.Key "a"))) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "recursive formula must be rejected");
-  match Stream.validate_jnl doc (Jnl.Eq_paths (Jnl.Key "a", Jnl.Key "b")) with
+  match stream_jnl doc (Jnl.Eq_paths (Jnl.Key "a", Jnl.Key "b")) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "EQ(α,β) must be rejected"
 
@@ -155,7 +200,7 @@ let prop_validate_jnl_agrees =
       let rng = Jworkload.Prng.create 23 in
       let cfg = { Jworkload.Gen_formula.default with Jworkload.Gen_formula.size = 8 } in
       let phi = Jworkload.Gen_formula.jnl rng cfg in
-      match Stream.validate_jnl (Value.to_string doc) phi with
+      match stream_jnl (Value.to_string doc) phi with
       | Error _ -> QCheck.assume_fail ()
       | Ok b -> b = Jlogic.Jnl_eval.satisfies doc phi)
 
@@ -168,7 +213,7 @@ let () =
        [ Alcotest.test_case "basics" `Quick test_stream_basics;
          Alcotest.test_case "malformed input" `Quick test_stream_malformed;
          Alcotest.test_case "constant memory" `Quick test_constant_memory;
-         Alcotest.test_case "token stats" `Quick test_tokens_counted ]);
+         Alcotest.test_case "value stats" `Quick test_values_counted ]);
       ("jnl",
        [ Alcotest.test_case "validate_jnl" `Quick test_validate_jnl;
          QCheck_alcotest.to_alcotest prop_validate_jnl_agrees ]);

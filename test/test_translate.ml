@@ -273,6 +273,52 @@ let test_email_example () =
   check {|42|} true;
   check {|{"any":"object"}|} true
 
+let test_mult_of_zero () =
+  (* MultOf(0) holds nowhere; its schema must be a well-formed one that
+     no value satisfies, not the ill-formed [multipleOf 0] *)
+  let f = Jsl.Test (Jsl.Mult_of 0) in
+  let schema = Jschema.Of_jsl.schema f in
+  let plan = Jschema.Validate.Plan.compile (Jschema.Schema.plain schema) in
+  List.iter
+    (fun d ->
+      let v = parse_doc d in
+      Alcotest.(check bool) ("JSL on " ^ d) false (Jsl.validates v f);
+      Alcotest.(check bool) ("schema on " ^ d) false
+        (Jschema.Validate.validates_schema schema v);
+      Alcotest.(check bool) ("plan on " ^ d) false
+        (Jschema.Validate.Plan.run plan v))
+    [ "0"; "5"; {|"x"|}; "[]"; "{}" ]
+
+let test_single_index_linear () =
+  (* a single index i costs a schema linear in i: equal steps in i give
+     equal steps in size *)
+  let phi = Jsl.Test Jsl.Is_str in
+  List.iter
+    (fun (name, form) ->
+      let size i = Jschema.Schema.schema_size (Jschema.Of_jsl.schema (form i)) in
+      let s1 = size 100 and s2 = size 200 and s3 = size 300 in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: sizes %d, %d, %d grow linearly" name s1 s2 s3)
+        (s2 - s1) (s3 - s2))
+    [ ("dia_idx", fun i -> Jsl.dia_idx i phi);
+      ("box_idx", fun i -> Jsl.box_idx i phi);
+      ("MaxCh", fun i -> Jsl.Test (Jsl.Max_ch i)) ]
+
+let test_array_constant_quadratic () =
+  (* ~(A) on an n-element array expands to dia_idx 0 .. dia_idx (n-1),
+     each linear in its index, so the schema is quadratic in n: equal
+     steps in n give equal second differences in size *)
+  let size n =
+    let arr = Jsont.Value.Arr (List.init n (fun i -> Jsont.Value.Num i)) in
+    Jschema.Schema.schema_size
+      (Jschema.Of_jsl.schema (Jsl.expand_eq (Jsl.Test (Jsl.Eq_doc arr))))
+  in
+  let s1 = size 50 and s2 = size 100 and s3 = size 150 and s4 = size 200 in
+  Alcotest.(check int)
+    (Printf.sprintf "sizes %d, %d, %d, %d grow quadratically" s1 s2 s3 s4)
+    (s3 - (2 * s2) + s1)
+    (s4 - (2 * s3) + s2)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_jsl_to_jnl;
@@ -289,5 +335,10 @@ let () =
          Alcotest.test_case "exponential blow-up family" `Quick test_blowup_family ]);
       ("theorem 1 & 3",
        [ Alcotest.test_case "full Table 1 schema" `Quick test_full_schema_agreement;
-         Alcotest.test_case "email example (§5.3)" `Quick test_email_example ]);
+         Alcotest.test_case "email example (§5.3)" `Quick test_email_example;
+         Alcotest.test_case "MultOf(0) holds nowhere" `Quick test_mult_of_zero;
+         Alcotest.test_case "single index is linear" `Quick
+           test_single_index_linear;
+         Alcotest.test_case "array constant is quadratic" `Quick
+           test_array_constant_quadratic ]);
       ("properties", qcheck_tests) ]

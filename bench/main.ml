@@ -984,38 +984,78 @@ let tree_identical t1 t2 =
 
 let ingest () =
   header "E-ING: one-pass string→tree ingestion vs parse-then-build";
-  row "%-12s %-10s %-16s %-14s %-10s %-8s\n" "|J| (nodes)" "bytes"
-    "two-stage MB/s" "direct MB/s" "speedup" "agree";
+  row "%-22s %-8s %-8s %-15s %-12s %-8s %-9s %-9s %-6s\n" "input" "nodes"
+    "bytes" "two-stage MB/s" "direct MB/s" "speedup" "minor w/B" "all w/B"
+    "agree";
   let all_agree = ref true in
+  (* Each row ingests a batch of documents: one large generated
+     document, or many ~2 KB catalog records whose wide objects expose
+     the per-member cost.  Both routes are timed with metrics off, as
+     the CLI runs.  The direct route's allocation per input byte is
+     given for the minor heap and in all (minor plus direct major
+     allocations). *)
+  let measure label texts =
+    let bytes =
+      float_of_int (Array.fold_left (fun a t -> a + String.length t) 0 texts)
+    in
+    let ingest_all f () = Array.iter (fun t -> ignore (f t)) texts in
+    let two_stage t = Tree.of_value (Jsont.Parser.parse_exn t) in
+    let metrics = Obs.Metrics.enabled () in
+    Obs.Metrics.set_enabled false;
+    let ns_two, ns_direct, minor, total =
+      Fun.protect
+        ~finally:(fun () -> Obs.Metrics.set_enabled metrics)
+        (fun () ->
+          let ns_two = measure_ns (ingest_all two_stage) in
+          let ns_direct = measure_ns (ingest_all Tree.of_string_exn) in
+          (* averaged over >= 8 MB of input, as the major-heap counters
+             only advance at collections *)
+          let reps = 1 + (8_000_000 / int_of_float bytes) in
+          let m0 = Gc.minor_words () and g0 = Gc.quick_stat () in
+          for _ = 1 to reps do ingest_all Tree.of_string_exn () done;
+          let m1 = Gc.minor_words () and g1 = Gc.quick_stat () in
+          let per_rep x = x /. float_of_int reps in
+          let minor = per_rep (m1 -. m0) in
+          let major = per_rep (g1.Gc.major_words -. g0.Gc.major_words) in
+          let promoted =
+            per_rep (g1.Gc.promoted_words -. g0.Gc.promoted_words)
+          in
+          (ns_two, ns_direct, minor, minor +. major -. promoted))
+    in
+    Obs.Metrics.observe_ns "bench.ing.two_stage" ns_two;
+    Obs.Metrics.observe_ns "bench.ing.direct" ns_direct;
+    let nodes = ref 0 and agree = ref true in
+    Array.iter
+      (fun text ->
+        let t_direct = Tree.of_string_exn text in
+        nodes := !nodes + Tree.node_count t_direct;
+        if not (tree_identical t_direct (two_stage text)) then agree := false)
+      texts;
+    if not !agree then all_agree := false;
+    let mbs ns = bytes /. ns *. 1e9 /. 1e6 in
+    row "%-22s %-8d %-8.0f %-15.1f %-12.1f %-8.2f %-9.2f %-9.2f %-6b\n" label
+      !nodes bytes (mbs ns_two) (mbs ns_direct) (ns_two /. ns_direct)
+      (minor /. bytes) (total /. bytes) !agree
+  in
   List.iter
     (fun n ->
       let rng = Jworkload.Prng.create 12 in
       let doc = Jworkload.Gen_json.sized rng n in
-      let text = Value.to_string doc in
-      let bytes = float_of_int (String.length text) in
-      let ns_two =
-        measure_ns ~name:"bench.ing.two_stage" (fun () ->
-            ignore (Tree.of_value (Jsont.Parser.parse_exn text)))
-      in
-      let ns_direct =
-        measure_ns ~name:"bench.ing.direct" (fun () ->
-            ignore (Tree.of_string_exn text))
-      in
-      let t_direct = Tree.of_string_exn text in
-      let t_oracle = Tree.of_value (Jsont.Parser.parse_exn text) in
-      let agree = tree_identical t_direct t_oracle in
-      if not agree then all_agree := false;
-      let mbs ns = bytes /. ns *. 1e9 /. 1e6 in
-      row "%-12d %-10.0f %-16.1f %-14.1f %-10.2f %-8b\n"
-        (Tree.node_count t_oracle) bytes (mbs ns_two) (mbs ns_direct)
-        (ns_two /. ns_direct) agree)
+      measure (Printf.sprintf "sized %d" n) [| Value.to_string doc |])
     [ 1_000; 8_000; 64_000 ];
+  let rng = Jworkload.Prng.create 12 in
+  measure "catalog records x200"
+    (Array.init 200 (fun _ ->
+         Value.to_string (Jworkload.Catalog.catalog_doc rng)));
   (* malformed and out-of-model inputs must fail with the same rendered
      position and message on both routes *)
   let malformed =
     [ {|{"a":1,}|}; {|[1,2|}; {|{"a" 1}|}; "nul"; {|{"a":1,"a":2}|};
       {|[1, -3]|}; {|"unterminated|}; {|{"a":tru}|}; {|[1,2]]|};
-      {|"\ud800x"|} ]
+      {|"\ud800x"|}; {|{"a":1,"\u0061":2}|};
+      (* a duplicate met after the key table has grown *)
+      "{" ^ String.concat "," (List.init 70 (Printf.sprintf {|"k%d":0|}))
+      ^ {|,"k35":1}|} ]
   in
   List.iter
     (fun txt ->

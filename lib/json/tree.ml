@@ -28,20 +28,330 @@ type t = {
   parents : node array;  (* -1 for the root *)
   edges : edge array;
   sizes : int array;
-  heights : int array;
-  depths : int array;
-  hashes : int array;
-  by_key : (node * string, node) Hashtbl.t;  (* O(1) key lookup *)
-  mutable index : label_index option;  (* built lazily *)
+  slots : int array;  (* key table, see [probe] *)
+  (* Columns nobody may read are built on first use, each in one
+     sweep over the whole tree (see [force]). *)
+  hashes : int array option Atomic.t;
+  heights : int array option Atomic.t;
+  depths : int array option Atomic.t;
+  index : label_index option Atomic.t;
 }
 
 let root = 0
+
+(* ---- key table ------------------------------------------------------------ *)
+
+(* One open-addressing table per tree maps (parent, key) to the child
+   reached through that member.  A slot is two ints: the tag
+   [parent lsl 30 lor String.hash key] — exact on both parts, as the
+   hash has 30 bits and a 63-bit int leaves 33 for the parent — and the
+   child id, [0] when the slot is empty (the root is nobody's child).
+   The key itself is read back from the child's edge, and only when the
+   tags agree.  No boxed pair, no polymorphic hash or compare.  The
+   slot count is a power of two kept at least twice the member count. *)
+let tag p key = (p lsl 30) lor String.hash key
+
+let home tg mask =
+  let h = tg * 0x9e3779b97f4a7c1 in
+  (h lxor (h lsr 29)) land mask
+
+let key_of_edge = function Key k -> k | Root | Pos _ -> assert false
+
+(* The slot of the member tagged [tg] under [key], or of the empty
+   slot ending its probe sequence. *)
+let probe slots edges tg key =
+  let mask = (Array.length slots / 2) - 1 in
+  let rec go i =
+    let c = slots.((2 * i) + 1) in
+    if
+      c = 0
+      || slots.(2 * i) = tg
+         && match edges.(c) with
+            | Key k -> String.equal k key
+            | Root | Pos _ -> false
+    then i
+    else go ((i + 1) land mask)
+  in
+  go (home tg mask)
+
+let rec free_slot slots mask i =
+  if slots.((2 * i) + 1) = 0 then i
+  else free_slot slots mask ((i + 1) land mask)
+
+(* ---- construction --------------------------------------------------------- *)
+
+(* Growable stack of node ids.  Capacity doubles. *)
+type stack = { mutable data : node array; mutable len : int }
+
+let push st x =
+  if st.len = Array.length st.data then begin
+    let data = Array.make (2 * st.len) 0 in
+    Array.blit st.data 0 data 0 st.len;
+    st.data <- data
+  end;
+  st.data.(st.len) <- x;
+  st.len <- st.len + 1
+
+(* Column store under construction, shared by [of_value] and
+   [of_lexer_exn].  It starts small and doubles, so a tree costs in
+   proportion to itself, not to the input around it.  All node columns
+   share one capacity, so admitting a node is a single check.  Fresh
+   slots keep their fillers (kind [Kobj], size [1], no children), so a
+   node writes only the columns whose filler is wrong for it.  Children
+   of the open containers sit on one shared stack and are cut into
+   exact per-node arrays when their container closes. *)
+type builder = {
+  mutable n : int;
+  mutable b_kinds : kind array;
+  mutable b_parents : int array;
+  mutable b_edges : edge array;
+  mutable b_sizes : int array;
+  mutable b_children : node array array;
+  mutable b_keys : string array array;
+  mutable b_slots : int array;
+  mutable members : int;
+  open_ids : stack;
+}
+
+let builder () =
+  let cap = 32 in
+  { n = 0;
+    b_kinds = Array.make cap Kobj;
+    b_parents = Array.make cap (-1);
+    b_edges = Array.make cap Root;
+    b_sizes = Array.make cap 1;
+    b_children = Array.make cap [||];
+    b_keys = Array.make cap [||];
+    b_slots = Array.make 32 0;
+    members = 0;
+    open_ids = { data = Array.make 16 0; len = 0 } }
+
+let builder_grow b =
+  let cap = 2 * b.n in
+  let copy filler a =
+    let d = Array.make cap filler in
+    Array.blit a 0 d 0 b.n;
+    d
+  in
+  b.b_kinds <- copy Kobj b.b_kinds;
+  b.b_parents <- copy (-1) b.b_parents;
+  b.b_edges <- copy Root b.b_edges;
+  b.b_sizes <- copy 1 b.b_sizes;
+  b.b_children <- copy [||] b.b_children;
+  b.b_keys <- copy [||] b.b_keys
+
+let new_node b parent edge =
+  if b.n = Array.length b.b_kinds then builder_grow b;
+  let id = b.n in
+  b.b_parents.(id) <- parent;
+  b.b_edges.(id) <- edge;
+  b.n <- id + 1;
+  id
+
+(* Enter member [key] of object [p] into the key table, its child
+   being the node the builder creates next; [false] when [p] already
+   has the key.  Nothing reads the entry's edge before that node
+   exists: only a claim under [p] can match its tag, and the next one
+   comes after the member's value. *)
+let claim_member b p key =
+  let old = b.b_slots in
+  if 4 * (b.members + 1) > Array.length old then begin
+    let slots = Array.make (2 * Array.length old) 0 in
+    let mask = Array.length old - 1 in
+    for i = 0 to (Array.length old / 2) - 1 do
+      let c = old.((2 * i) + 1) in
+      if c <> 0 then begin
+        let j = free_slot slots mask (home old.(2 * i) mask) in
+        slots.(2 * j) <- old.(2 * i);
+        slots.((2 * j) + 1) <- c
+      end
+    done;
+    b.b_slots <- slots
+  end;
+  let tg = tag p key in
+  let i = probe b.b_slots b.b_edges tg key in
+  b.b_slots.((2 * i) + 1) = 0
+  && begin
+    b.b_slots.(2 * i) <- tg;
+    b.b_slots.((2 * i) + 1) <- b.n;
+    b.members <- b.members + 1;
+    true
+  end
+
+(* Close container [id], whose children were pushed since the open-id
+   stack had length [base]. *)
+let close b id base =
+  let st = b.open_ids in
+  let m = st.len - base in
+  if m > 0 then begin
+    let kids = Array.sub st.data base m in
+    b.b_children.(id) <- kids;
+    if b.b_kinds.(id) == Kobj then
+      b.b_keys.(id) <- Array.map (fun c -> key_of_edge b.b_edges.(c)) kids
+  end;
+  st.len <- base;
+  b.b_sizes.(id) <- b.n - id
+
+let finish b =
+  let trim : 'a. 'a array -> 'a array =
+   fun a -> if Array.length a = b.n then a else Array.sub a 0 b.n
+  in
+  { kinds = trim b.b_kinds;
+    child_nodes = trim b.b_children;
+    child_keys = trim b.b_keys;
+    parents = trim b.b_parents;
+    edges = trim b.b_edges;
+    sizes = trim b.b_sizes;
+    slots = b.b_slots;
+    hashes = Atomic.make None;
+    heights = Atomic.make None;
+    depths = Atomic.make None;
+    index = Atomic.make None }
+
+let of_value ?(budget = Obs.Budget.unlimited) v =
+  let b = builder () in
+  let rec build v parent edge depth =
+    Obs.Budget.check_depth budget depth;
+    Obs.Budget.burn budget 1;
+    let id = new_node b parent edge in
+    (match v with
+    | Value.Num k ->
+      if k < 0 then raise (Value.Invalid "negative number in tree");
+      b.b_kinds.(id) <- Kint k
+    | Value.Str s -> b.b_kinds.(id) <- Kstr s
+    | Value.Arr vs ->
+      b.b_kinds.(id) <- Karr;
+      let base = b.open_ids.len in
+      List.iteri
+        (fun i v -> push b.open_ids (build v id (Pos i) (depth + 1)))
+        vs;
+      close b id base
+    | Value.Obj kvs ->
+      let base = b.open_ids.len in
+      List.iter
+        (fun (k, v) ->
+          if not (claim_member b id k) then
+            raise (Value.Invalid (Printf.sprintf "duplicate key %S" k));
+          push b.open_ids (build v id (Key k) (depth + 1)))
+        kvs;
+      close b id base);
+    id
+  in
+  ignore (build v (-1) Root 0);
+  finish b
+
+(* One fused pass: lexing, syntax checking and tree construction, with
+   tokens consumed straight off the lexer and every node emitted into
+   the flat preorder arrays as it is entered — no token list, no
+   [Value.t] intermediate, no separate [Value.size] pre-pass.  Nodes
+   are numbered in preorder by construction (JSON text {e is} a
+   preorder traversal), so a subtree's size is simply the id counter's
+   travel across it.  Positions, error messages and literal-mode
+   handling reuse the {!Parser} helpers verbatim, which is what makes
+   this route differentially testable against
+   [of_value (Parser.parse_exn input)]. *)
+let of_lexer_exn ?(mode = `Strict) ?(base_depth = 0) ~budget lx =
+  let b = builder () in
+  let rec value parent edge depth =
+    let pos, tok = Lexer.next lx in
+    (* Budget parity with the two-stage route: one guard accounts both
+       the parse unit and the tree-construction unit that [of_value]
+       burns per node, positioned at the value's first token exactly
+       like the parser's peek-then-guard.  [depth] is absolute, so the
+       ceiling applies to real document nesting when a spill starts
+       [base_depth] levels down. *)
+    Parser.guard ~units:2 budget pos depth;
+    Obs.Metrics.incr "parse.values";
+    let id = new_node b parent edge in
+    (match tok with
+    | Lexer.Lbrace -> obj id depth
+    | Lexer.Lbracket -> arr id depth
+    | Lexer.Nat k -> b.b_kinds.(id) <- Kint k
+    | Lexer.String s -> b.b_kinds.(id) <- Kstr s
+    | Lexer.Neg_int _ | Lexer.Float _ | Lexer.True | Lexer.False
+    | Lexer.Null -> (
+      match Parser.literal_atom mode pos tok with
+      | Parser.Int k -> b.b_kinds.(id) <- Kint k
+      | Parser.Str s -> b.b_kinds.(id) <- Kstr s)
+    | Lexer.Rbrace | Lexer.Rbracket | Lexer.Colon | Lexer.Comma | Lexer.Eof ->
+      Parser.unexpected pos tok "a JSON value");
+    id
+  and obj id depth =
+    let base = b.open_ids.len in
+    let rec members () =
+      let pos, tok = Lexer.next lx in
+      match tok with
+      | Lexer.String key ->
+        if not (claim_member b id key) then
+          Parser.fail pos "duplicate object key %S" key;
+        let pos, tok = Lexer.next lx in
+        if tok <> Lexer.Colon then Parser.unexpected pos tok "':'";
+        push b.open_ids (value id (Key key) (depth + 1));
+        let pos, tok = Lexer.next lx in
+        (match tok with
+        | Lexer.Comma -> members ()
+        | Lexer.Rbrace -> ()
+        | _ -> Parser.unexpected pos tok "',' or '}'")
+      | _ -> Parser.unexpected pos tok "a string key"
+    in
+    let _, tok = Lexer.peek lx in
+    if tok = Lexer.Rbrace then ignore (Lexer.next lx) else members ();
+    close b id base
+  and arr id depth =
+    b.b_kinds.(id) <- Karr;
+    let base = b.open_ids.len in
+    let rec elements () =
+      let cid = value id (Pos (b.open_ids.len - base)) (depth + 1) in
+      push b.open_ids cid;
+      let pos, tok = Lexer.next lx in
+      match tok with
+      | Lexer.Comma -> elements ()
+      | Lexer.Rbracket -> ()
+      | _ -> Parser.unexpected pos tok "',' or ']'"
+    in
+    let _, tok = Lexer.peek lx in
+    if tok = Lexer.Rbracket then ignore (Lexer.next lx) else elements ();
+    close b id base
+  in
+  ignore (value (-1) Root base_depth);
+  finish b
+
+let of_string_exn ?mode ?max_depth ?budget input =
+  let budget = Parser.budget_of budget max_depth in
+  let lx = Lexer.create input in
+  let t = of_lexer_exn ?mode ~budget lx in
+  let pos, tok = Lexer.next lx in
+  if tok <> Lexer.Eof then Parser.unexpected pos tok "end of input";
+  Obs.Metrics.add "parse.direct.bytes" (String.length input);
+  Obs.Metrics.incr "parse.direct.docs";
+  t
+
+let of_string ?mode ?max_depth ?budget input =
+  Parser.wrap (fun () -> of_string_exn ?mode ?max_depth ?budget input)
+
+(* ---- lazy columns --------------------------------------------------------- *)
+
+(* The first reader builds the whole column and publishes the finished
+   value.  Readers racing on other domains may each build it; the
+   builds are pure and agree, so whichever lands is the column. *)
+let force cell build =
+  match Atomic.get cell with
+  | Some x -> x
+  | None ->
+    let x = build () in
+    Atomic.set cell (Some x);
+    x
 
 (* Structural hashing: must agree with Value.hash-style equality, i.e.
    insensitive to object pair order.  We fold children of objects in
    key-sorted order; hash mixing matches no external format, it only has
    to be internally consistent. *)
 let mix h x = (h * 0x01000193) lxor x land max_int
+
+let leaf_hash = function
+  | Kint k -> mix (mix 0x811c9dc5 1) k
+  | Kstr s -> mix (mix 0x811c9dc5 2) (String.hash s)
+  | Kobj | Karr -> invalid_arg "Tree.leaf_hash"
 
 (* Sort the parallel segments [a.(lo..hi)], [b.(lo..hi)] by (a, b)
    lexicographically — the order [Array.sort Stdlib.compare] gives
@@ -85,338 +395,72 @@ let rec sort_pairs a b lo hi =
     sort_pairs a b !i hi
   end
 
-let of_value ?(budget = Obs.Budget.unlimited) v =
-  let n = Value.size v in
-  let kinds = Array.make n Kobj in
-  let child_nodes = Array.make n [||] in
-  let child_keys = Array.make n [||] in
-  let parents = Array.make n (-1) in
-  let edges = Array.make n Root in
-  let sizes = Array.make n 1 in
-  let heights = Array.make n 0 in
-  let depths = Array.make n 0 in
-  let hashes = Array.make n 0 in
-  let by_key = Hashtbl.create (max 16 n) in
-  let counter = ref 0 in
-  let fresh () =
-    let id = !counter in
-    incr counter;
-    id
-  in
-  (* Returns (id, size, height, hash) of the built subtree. *)
-  let rec build v parent edge depth =
-    Obs.Budget.check_depth budget depth;
-    Obs.Budget.burn budget 1;
-    let id = fresh () in
-    parents.(id) <- parent;
-    edges.(id) <- edge;
-    depths.(id) <- depth;
-    match v with
-    | Value.Num k ->
-      if k < 0 then raise (Value.Invalid "negative number in tree");
-      kinds.(id) <- Kint k;
-      hashes.(id) <- mix (mix 0x811c9dc5 1) k;
-      (id, 1, 0, hashes.(id))
-    | Value.Str s ->
-      kinds.(id) <- Kstr s;
-      hashes.(id) <- mix (mix 0x811c9dc5 2) (Hashtbl.hash s);
-      (id, 1, 0, hashes.(id))
-    | Value.Arr vs ->
-      kinds.(id) <- Karr;
-      let kids = Array.make (List.length vs) 0 in
-      let sz = ref 1 and ht = ref 0 and h = ref (mix 0x811c9dc5 3) in
-      List.iteri
-        (fun i v ->
-          let cid, csz, cht, chash = build v id (Pos i) (depth + 1) in
-          kids.(i) <- cid;
-          sz := !sz + csz;
-          ht := max !ht (cht + 1);
-          h := mix !h chash)
-        vs;
-      child_nodes.(id) <- kids;
-      sizes.(id) <- !sz;
-      heights.(id) <- !ht;
-      hashes.(id) <- !h;
-      (id, !sz, !ht, !h)
-    | Value.Obj kvs ->
-      kinds.(id) <- Kobj;
-      let m = List.length kvs in
-      let kids = Array.make m 0 in
-      let keys = Array.make m "" in
-      let sz = ref 1 and ht = ref 0 in
-      let khashes = Array.make m 0 in
-      let vhashes = Array.make m 0 in
-      List.iteri
-        (fun i (k, v) ->
-          if Hashtbl.mem by_key (id, k) then
-            raise (Value.Invalid (Printf.sprintf "duplicate key %S" k));
-          let cid, csz, cht, chash = build v id (Key k) (depth + 1) in
-          kids.(i) <- cid;
-          keys.(i) <- k;
-          Hashtbl.add by_key (id, k) cid;
-          sz := !sz + csz;
-          ht := max !ht (cht + 1);
-          khashes.(i) <- Hashtbl.hash k;
-          vhashes.(i) <- chash)
-        kvs;
-      (* order-insensitive: fold pair hashes in sorted order *)
-      sort_pairs khashes vhashes 0 (m - 1);
-      let h = ref (mix 0x811c9dc5 4) in
-      for i = 0 to m - 1 do
-        h := mix (mix !h khashes.(i)) vhashes.(i)
-      done;
-      let h = !h in
-      child_nodes.(id) <- kids;
-      child_keys.(id) <- keys;
-      sizes.(id) <- !sz;
-      heights.(id) <- !ht;
-      hashes.(id) <- h;
-      (id, !sz, !ht, h)
-  in
-  let _ = build v (-1) Root 0 in
-  { kinds; child_nodes; child_keys; parents; edges; sizes; heights; depths;
-    hashes; by_key; index = None }
+(* Children have larger ids than their parent, so one sweep in reverse
+   preorder sees every child's hash before its parent needs it. *)
+let build_hashes t =
+  let n = Array.length t.kinds in
+  let hs = Array.make n 0 in
+  let khs = ref [||] and vhs = ref [||] in
+  for nd = n - 1 downto 0 do
+    hs.(nd) <-
+      (match t.kinds.(nd) with
+      | Karr ->
+        Array.fold_left
+          (fun h c -> mix h hs.(c))
+          (mix 0x811c9dc5 3) t.child_nodes.(nd)
+      | Kobj ->
+        let kids = t.child_nodes.(nd) and keys = t.child_keys.(nd) in
+        let m = Array.length kids in
+        if m > Array.length !khs then begin
+          khs := Array.make (2 * m) 0;
+          vhs := Array.make (2 * m) 0
+        end;
+        let khs = !khs and vhs = !vhs in
+        for i = 0 to m - 1 do
+          khs.(i) <- String.hash keys.(i);
+          vhs.(i) <- hs.(kids.(i))
+        done;
+        (* order-insensitive: fold pair hashes in sorted order *)
+        sort_pairs khs vhs 0 (m - 1);
+        let h = ref (mix 0x811c9dc5 4) in
+        for i = 0 to m - 1 do
+          h := mix (mix !h khs.(i)) vhs.(i)
+        done;
+        !h
+      | (Kstr _ | Kint _) as leaf -> leaf_hash leaf)
+  done;
+  hs
 
-(* ---- direct string ingestion --------------------------------------------- *)
+let build_heights t =
+  let hs = Array.make (Array.length t.kinds) 0 in
+  for nd = Array.length t.kinds - 1 downto 1 do
+    let p = t.parents.(nd) in
+    if hs.(nd) >= hs.(p) then hs.(p) <- hs.(nd) + 1
+  done;
+  hs
 
-(* Growable array: the node count is unknown until the single pass over
-   the input completes.  Capacity doubles; [vec_trim] returns the dense
-   prefix. *)
-type 'a vec = { mutable data : 'a array; mutable len : int; filler : 'a }
+(* Parents precede their children, so a preorder sweep sees each
+   parent's depth first. *)
+let build_depths t =
+  let ds = Array.make (Array.length t.kinds) 0 in
+  for nd = 1 to Array.length t.kinds - 1 do
+    ds.(nd) <- ds.(t.parents.(nd)) + 1
+  done;
+  ds
 
-let vec ?(capacity = 256) filler =
-  { data = Array.make (max 16 capacity) filler; len = 0; filler }
+let subtree_hash t n =
+  match t.kinds.(n) with
+  | (Kstr _ | Kint _) as leaf -> leaf_hash leaf
+  | Kobj | Karr -> (force t.hashes (fun () -> build_hashes t)).(n)
 
-let vec_push v x =
-  let cap = Array.length v.data in
-  if v.len = cap then begin
-    let data = Array.make (2 * cap) v.filler in
-    Array.blit v.data 0 data 0 v.len;
-    v.data <- data
-  end;
-  v.data.(v.len) <- x;
-  v.len <- v.len + 1
+let heights t = force t.heights (fun () -> build_heights t)
 
-(* Column store under construction: all node columns share one length
-   and one capacity, so admitting a node is a single capacity check.
-   Fresh slots keep their fillers ([Kobj]/[1]/[0]/[[||]]) and every
-   slot is written at most once per parse, so each node only writes
-   the columns whose filler is wrong for it — three stores for a
-   container on entry, five for a leaf. *)
-type builder = {
-  mutable b_cap : int;
-  mutable b_n : int;
-  mutable b_kinds : kind array;
-  mutable b_parents : int array;
-  mutable b_edges : edge array;
-  mutable b_sizes : int array;
-  mutable b_heights : int array;
-  mutable b_depths : int array;
-  mutable b_hashes : int array;
-  mutable b_children : node array array;
-  mutable b_keys : string array array;
-}
+let height_of t n =
+  match t.kinds.(n) with Kstr _ | Kint _ -> 0 | Kobj | Karr -> (heights t).(n)
 
-let builder capacity =
-  let cap = max 16 capacity in
-  { b_cap = cap;
-    b_n = 0;
-    b_kinds = Array.make cap Kobj;
-    b_parents = Array.make cap (-1);
-    b_edges = Array.make cap Root;
-    b_sizes = Array.make cap 1;
-    b_heights = Array.make cap 0;
-    b_depths = Array.make cap 0;
-    b_hashes = Array.make cap 0;
-    b_children = Array.make cap [||];
-    b_keys = Array.make cap [||] }
+let height t = height_of t root
 
-let builder_grow b =
-  let cap = 2 * b.b_cap in
-  let copy filler a =
-    let d = Array.make cap filler in
-    Array.blit a 0 d 0 b.b_n;
-    d
-  in
-  b.b_kinds <- copy Kobj b.b_kinds;
-  b.b_parents <- copy (-1) b.b_parents;
-  b.b_edges <- copy Root b.b_edges;
-  b.b_sizes <- copy 1 b.b_sizes;
-  b.b_heights <- copy 0 b.b_heights;
-  b.b_depths <- copy 0 b.b_depths;
-  b.b_hashes <- copy 0 b.b_hashes;
-  b.b_children <- copy [||] b.b_children;
-  b.b_keys <- copy [||] b.b_keys;
-  b.b_cap <- cap
-
-let new_node b parent edge depth =
-  if b.b_n = b.b_cap then builder_grow b;
-  let id = b.b_n in
-  b.b_parents.(id) <- parent;
-  b.b_edges.(id) <- edge;
-  b.b_depths.(id) <- depth;
-  b.b_n <- id + 1;
-  id
-
-(* One fused pass: lexing, syntax checking and tree construction, with
-   tokens consumed straight off the lexer and every node emitted into
-   the flat preorder arrays as it is entered — no token list, no
-   [Value.t] intermediate, no separate [Value.size] pre-pass.  Nodes
-   are numbered in preorder by construction (JSON text {e is} a
-   preorder traversal), so a subtree's size is simply the id counter's
-   travel across it.  Positions, error messages and literal-mode
-   handling reuse the {!Parser} helpers verbatim, which is what makes
-   this route differentially testable against
-   [of_value (Parser.parse_exn input)]. *)
-let of_lexer_exn ?(mode = `Strict) ?(base_depth = 0) ~budget lx =
-  (* Capacity estimate from the unconsumed input size: every node costs
-     at least four input bytes amortized on realistic documents.
-     Over-estimates only cost transient memory (the trim below returns
-     the dense prefix); under-estimates only cost doublings. *)
-  let len = Lexer.remaining lx in
-  let b = builder (len / 4) in
-  let by_key = Hashtbl.create (max 16 (len / 8)) in
-  (* Children of the container currently being filled sit on top of
-     these shared stacks (their frame base is the stack length at
-     container entry), and are cut into the exact per-node arrays when
-     the container closes — no per-child list cells.  The key stacks
-     grow only in objects, the id stack in both container kinds, so
-     their frame bases differ. *)
-  let st_ids = vec 0 in
-  let st_keys = vec "" in
-  let st_khash = vec 0 in
-  let st_vhash = vec 0 in
-  let rec value parent edge depth =
-    let pos, tok = Lexer.next lx in
-    (* Budget parity with the two-stage route: one guard accounts both
-       the parse unit and the tree-construction unit that [of_value]
-       burns per node, positioned at the value's first token exactly
-       like the parser's peek-then-guard. *)
-    Parser.guard ~units:2 budget pos depth;
-    Obs.Metrics.incr "parse.values";
-    (* stored depths are tree-relative; [depth] itself stays absolute so
-       the ceiling applies to real document nesting when a spill starts
-       [base_depth] levels down *)
-    let id = new_node b parent edge (depth - base_depth) in
-    (match tok with
-    | Lexer.Lbrace -> obj id depth
-    | Lexer.Lbracket -> arr id depth
-    | Lexer.Nat k ->
-      b.b_kinds.(id) <- Kint k;
-      b.b_hashes.(id) <- mix (mix 0x811c9dc5 1) k
-    | Lexer.String s ->
-      b.b_kinds.(id) <- Kstr s;
-      b.b_hashes.(id) <- mix (mix 0x811c9dc5 2) (Hashtbl.hash s)
-    | Lexer.Neg_int _ | Lexer.Float _ | Lexer.True | Lexer.False
-    | Lexer.Null -> (
-      match Parser.literal_atom mode pos tok with
-      | Parser.Int k ->
-        b.b_kinds.(id) <- Kint k;
-        b.b_hashes.(id) <- mix (mix 0x811c9dc5 1) k
-      | Parser.Str s ->
-        b.b_kinds.(id) <- Kstr s;
-        b.b_hashes.(id) <- mix (mix 0x811c9dc5 2) (Hashtbl.hash s))
-    | Lexer.Rbrace | Lexer.Rbracket | Lexer.Colon | Lexer.Comma | Lexer.Eof ->
-      Parser.unexpected pos tok "a JSON value");
-    id
-  and obj id depth =
-    let base = st_ids.len and kbase = st_keys.len in
-    let ht = ref 0 in
-    let rec members () =
-      let pos, tok = Lexer.next lx in
-      match tok with
-      | Lexer.String key ->
-        if Hashtbl.mem by_key (id, key) then
-          Parser.fail pos "duplicate object key %S" key;
-        let pos, tok = Lexer.next lx in
-        if tok <> Lexer.Colon then Parser.unexpected pos tok "':'";
-        let cid = value id (Key key) (depth + 1) in
-        Hashtbl.add by_key (id, key) cid;
-        vec_push st_ids cid;
-        vec_push st_keys key;
-        vec_push st_khash (Hashtbl.hash key);
-        vec_push st_vhash b.b_hashes.(cid);
-        if b.b_heights.(cid) >= !ht then ht := b.b_heights.(cid) + 1;
-        let pos, tok = Lexer.next lx in
-        (match tok with
-        | Lexer.Comma -> members ()
-        | Lexer.Rbrace -> ()
-        | _ -> Parser.unexpected pos tok "',' or '}'")
-      | _ -> Parser.unexpected pos tok "a string key"
-    in
-    let _, tok = Lexer.peek lx in
-    if tok = Lexer.Rbrace then ignore (Lexer.next lx) else members ();
-    let m = st_ids.len - base in
-    if m > 0 then begin
-      b.b_children.(id) <- Array.sub st_ids.data base m;
-      b.b_keys.(id) <- Array.sub st_keys.data kbase m
-    end;
-    (* order-insensitive: fold pair hashes in sorted order, as of_value *)
-    sort_pairs st_khash.data st_vhash.data kbase (kbase + m - 1);
-    let h = ref (mix 0x811c9dc5 4) in
-    for i = kbase to kbase + m - 1 do
-      h := mix (mix !h st_khash.data.(i)) st_vhash.data.(i)
-    done;
-    b.b_hashes.(id) <- !h;
-    st_ids.len <- base;
-    st_keys.len <- kbase;
-    st_khash.len <- kbase;
-    st_vhash.len <- kbase;
-    b.b_sizes.(id) <- b.b_n - id;
-    b.b_heights.(id) <- !ht
-  and arr id depth =
-    b.b_kinds.(id) <- Karr;
-    let base = st_ids.len in
-    let ht = ref 0 in
-    let h = ref (mix 0x811c9dc5 3) in
-    let rec elements () =
-      let cid = value id (Pos (st_ids.len - base)) (depth + 1) in
-      vec_push st_ids cid;
-      if b.b_heights.(cid) >= !ht then ht := b.b_heights.(cid) + 1;
-      h := mix !h b.b_hashes.(cid);
-      let pos, tok = Lexer.next lx in
-      match tok with
-      | Lexer.Comma -> elements ()
-      | Lexer.Rbracket -> ()
-      | _ -> Parser.unexpected pos tok "',' or ']'"
-    in
-    let _, tok = Lexer.peek lx in
-    if tok = Lexer.Rbracket then ignore (Lexer.next lx) else elements ();
-    let m = st_ids.len - base in
-    if m > 0 then b.b_children.(id) <- Array.sub st_ids.data base m;
-    st_ids.len <- base;
-    b.b_hashes.(id) <- !h;
-    b.b_sizes.(id) <- b.b_n - id;
-    b.b_heights.(id) <- !ht
-  in
-  ignore (value (-1) Root base_depth);
-  let trim : 'a. 'a array -> 'a array =
-   fun a -> if Array.length a = b.b_n then a else Array.sub a 0 b.b_n
-  in
-  { kinds = trim b.b_kinds;
-    child_nodes = trim b.b_children;
-    child_keys = trim b.b_keys;
-    parents = trim b.b_parents;
-    edges = trim b.b_edges;
-    sizes = trim b.b_sizes;
-    heights = trim b.b_heights;
-    depths = trim b.b_depths;
-    hashes = trim b.b_hashes;
-    by_key;
-    index = None }
-
-let of_string_exn ?mode ?max_depth ?budget input =
-  let budget = Parser.budget_of budget max_depth in
-  let lx = Lexer.create input in
-  let t = of_lexer_exn ?mode ~budget lx in
-  let pos, tok = Lexer.next lx in
-  if tok <> Lexer.Eof then Parser.unexpected pos tok "end of input";
-  Obs.Metrics.add "parse.direct.bytes" (String.length input);
-  Obs.Metrics.incr "parse.direct.docs";
-  t
-
-let of_string ?mode ?max_depth ?budget input =
-  Parser.wrap (fun () -> of_string_exn ?mode ?max_depth ?budget input)
+(* ---- accessors ------------------------------------------------------------ *)
 
 let node_count t = Array.length t.kinds
 let kind t n = t.kinds.(n)
@@ -450,7 +494,10 @@ let obj_keys t n =
 
 let lookup t n k =
   match t.kinds.(n) with
-  | Kobj -> Hashtbl.find_opt t.by_key (n, k)
+  | Kobj -> (
+    match t.slots.((2 * probe t.slots t.edges (tag n k) k) + 1) with
+    | 0 -> None
+    | c -> Some c)
   | Karr | Kstr _ | Kint _ -> None
 
 let nth t n i =
@@ -468,55 +515,46 @@ let edge_from_parent t n = t.edges.(n)
 
 (* ---- label index -------------------------------------------------------- *)
 
-let build_index ?(budget = Obs.Budget.unlimited) t =
-  match t.index with
-  | Some _ -> ()
-  | None ->
-    Obs.Metrics.span "tree.index.build" (fun () ->
-        let n = Array.length t.kinds in
-        (* one fuel unit per node: a single bucketing pass *)
-        Obs.Budget.burn budget n;
-        Obs.Metrics.incr "tree.index.builds";
-        let key_buckets : (string, node list) Hashtbl.t = Hashtbl.create 64 in
-        let max_ar =
-          Array.fold_left
-            (fun m kids -> max m (Array.length kids))
-            0 t.child_nodes
-        in
-        let pos_buckets = Array.make max_ar [] in
-        let arrays = ref [] in
-        (* descending pass so each (consed) bucket ends up in preorder *)
-        for nd = n - 1 downto 0 do
-          (match t.kinds.(nd) with
-          | Karr -> arrays := nd :: !arrays
-          | Kobj | Kstr _ | Kint _ -> ());
-          match t.edges.(nd) with
-          | Root -> ()
-          | Key k ->
-            let prev =
-              match Hashtbl.find_opt key_buckets k with
-              | Some l -> l
-              | None -> []
-            in
-            Hashtbl.replace key_buckets k (nd :: prev)
-          | Pos p -> pos_buckets.(p) <- nd :: pos_buckets.(p)
-        done;
-        let by_key = Hashtbl.create (max 16 (Hashtbl.length key_buckets)) in
-        Hashtbl.iter
-          (fun k l -> Hashtbl.replace by_key k (Array.of_list l))
-          key_buckets;
-        t.index <-
-          Some
-            { by_key;
-              by_pos = Array.map Array.of_list pos_buckets;
-              arrays = Array.of_list !arrays })
+let make_index budget t =
+  Obs.Metrics.span "tree.index.build" (fun () ->
+      let n = Array.length t.kinds in
+      (* one fuel unit per node: a single bucketing pass *)
+      Obs.Budget.burn budget n;
+      Obs.Metrics.incr "tree.index.builds";
+      let key_buckets : (string, node list) Hashtbl.t = Hashtbl.create 64 in
+      let max_ar =
+        Array.fold_left
+          (fun m kids -> max m (Array.length kids))
+          0 t.child_nodes
+      in
+      let pos_buckets = Array.make max_ar [] in
+      let arrays = ref [] in
+      (* descending pass so each (consed) bucket ends up in preorder *)
+      for nd = n - 1 downto 0 do
+        (match t.kinds.(nd) with
+        | Karr -> arrays := nd :: !arrays
+        | Kobj | Kstr _ | Kint _ -> ());
+        match t.edges.(nd) with
+        | Root -> ()
+        | Key k ->
+          let prev =
+            match Hashtbl.find_opt key_buckets k with Some l -> l | None -> []
+          in
+          Hashtbl.replace key_buckets k (nd :: prev)
+        | Pos p -> pos_buckets.(p) <- nd :: pos_buckets.(p)
+      done;
+      let by_key = Hashtbl.create (max 16 (Hashtbl.length key_buckets)) in
+      Hashtbl.iter
+        (fun k l -> Hashtbl.replace by_key k (Array.of_list l))
+        key_buckets;
+      { by_key;
+        by_pos = Array.map Array.of_list pos_buckets;
+        arrays = Array.of_list !arrays })
 
-let index t =
-  match t.index with
-  | Some i -> i
-  | None ->
-    build_index t;
-    (match t.index with Some i -> i | None -> assert false)
+let build_index ?(budget = Obs.Budget.unlimited) t =
+  ignore (force t.index (fun () -> make_index budget t))
+
+let index t = force t.index (fun () -> make_index Obs.Budget.unlimited t)
 
 let key_index t k =
   match Hashtbl.find_opt (index t).by_key k with
@@ -531,10 +569,7 @@ let max_arity t = Array.length (index t).by_pos
 let arr_index t = (index t).arrays
 let iter_key_index f t = Hashtbl.iter f (index t).by_key
 let size t n = t.sizes.(n)
-let height_of t n = t.heights.(n)
-let height t = t.heights.(root)
-let depth t n = t.depths.(n)
-let subtree_hash t n = t.hashes.(n)
+let depth t n = (force t.depths (fun () -> build_depths t)).(n)
 
 let rec value_at t n =
   match t.kinds.(n) with
@@ -600,7 +635,7 @@ let rec structural_equal t1 n1 t2 n2 =
   | (Kobj | Karr | Kstr _ | Kint _), _ -> false
 
 let equal_across t1 n1 t2 n2 =
-  t1.hashes.(n1) = t2.hashes.(n2)
+  subtree_hash t1 n1 = subtree_hash t2 n2
   && t1.sizes.(n1) = t2.sizes.(n2)
   && structural_equal t1 n1 t2 n2
 
@@ -635,11 +670,11 @@ let nodes t = Seq.init (node_count t) Fun.id
 let iter f t = Seq.iter f (nodes t)
 
 let nodes_by_height t =
-  let h = height t in
-  let buckets = Array.make (h + 1) [] in
+  let hs = heights t in
+  let buckets = Array.make (hs.(root) + 1) [] in
   (* reverse preorder keeps each bucket in preorder *)
   for n = node_count t - 1 downto 0 do
-    buckets.(t.heights.(n)) <- n :: buckets.(t.heights.(n))
+    buckets.(hs.(n)) <- n :: buckets.(hs.(n))
   done;
   buckets
 

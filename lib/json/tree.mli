@@ -9,15 +9,23 @@
     This module realizes that structure over flat arrays: nodes are
     dense integer identifiers in {e preorder} (the root is [0] and the
     subtree of [n] occupies the contiguous range
-    [n .. n + size t n - 1]), every node carries a precomputed
-    structural hash, size and height, so that
+    [n .. n + size t n - 1]).  Sizes are filled in during
+    construction, together with one int-keyed table from (parent, key)
+    to child, so that
 
     - child access by key or index is O(1) expected,
     - [json(n)] subtree equality ({!equal_subtrees}) is O(1) expected
       (hash comparison, structurally verified on collision),
 
     which is what the linear-time evaluation results of the paper
-    (Propositions 1, 3, 6) assume of the substrate. *)
+    (Propositions 1, 3, 6) assume of the substrate.
+
+    Structural hashes, heights and depths are {e lazy}: a string or
+    number leaf hashes in O(1) on demand, and the first container hash
+    (resp. the first height or depth query) builds the whole column in
+    one O(|D|) sweep that later queries, on any domain, read.  A tree
+    that is only navigated never pays for them.  The sweeps burn no
+    fuel. *)
 
 type t
 (** An immutable JSON tree. *)
@@ -51,9 +59,9 @@ val of_string :
     construction happen together, with no token list and no {!Value.t}
     intermediate.  The result is indistinguishable from
     [of_value (Parser.parse_exn input)] — same node numbering, hashes,
-    sizes, error messages and positions, and the same total fuel draw
-    (two units per value: parse + construction) — the two-stage route
-    is kept as the differential oracle.  Counters:
+    heights, sizes, error messages and positions, and the same total
+    fuel draw (two units per value: parse + construction) — the
+    two-stage route is kept as the differential oracle.  Counters:
     [parse.direct.bytes], [parse.direct.docs], [parse.values]. *)
 
 val of_string_exn :
@@ -71,8 +79,10 @@ val of_lexer_exn :
     budget guard runs with depths offset by [base_depth] (stored node
     depths stay tree-relative), which lets the streaming validator
     spill a subtree [base_depth] levels into a document while keeping
-    the global nesting ceiling exact.  @raise Parser.Parse_error,
-    @raise Lexer.Error like {!of_string_exn}. *)
+    the global nesting ceiling exact.  Time and memory are in
+    proportion to the value parsed, not to the input left on [lx].
+    @raise Parser.Parse_error, @raise Lexer.Error like
+    {!of_string_exn}. *)
 
 val to_value : t -> Value.t
 (** Inverse of {!of_value} (up to object pair order). *)

@@ -368,6 +368,28 @@ case $big_out in
              exit 1 ;;
   *) ;;
 esac
+
+# Spill cost gate: a spill (the streaming validator building the tree of
+# one subtree, here for uniqueItems) must cost that subtree, not the
+# rest of the line.  One 0.5 MB NDJSON line with 40,000 spills must
+# finish under the timeout and agree with the tree route.
+pairs="$sdir/pairs.ndjson"
+awk 'BEGIN { printf "{\"a\":["
+             for (i = 0; i < 40000; i++) printf "%s[%d,%d]", (i ? "," : ""), i, i + 1
+             printf "]}\n" }' > "$pairs"
+echo '{"properties":{"a":{"additionalItems":{"uniqueItems":true}}}}' \
+  > "$sdir/pairs_schema.json"
+echo "$pairs" > "$sdir/pairs_list"
+p_stream=$(run 30 "$JSONLOGIC" validate -s "$sdir/pairs_schema.json" \
+  --stream "$pairs")
+p_stream=$(printf '%s\n' "$p_stream" | sed 1d)   # drop run's echo
+p_tree=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/pairs_schema.json" \
+  --files-from "$sdir/pairs_list")
+if [ "$p_stream" != "$pairs:1	valid" ] || [ "$p_tree" != "$pairs	valid" ]; then
+  echo "FAIL: 40,000-spill line: stream and tree routes disagree" >&2
+  printf '%s\n---\n%s\n' "$p_stream" "$p_tree" >&2
+  exit 1
+fi
 rm -rf "$sdir"
 
 # Serve smoke gate: a daemon on a temp socket must answer a replayed

@@ -812,12 +812,44 @@ let test_direct_differential () =
       Alcotest.failf "to_value roundtrip differs (case %d)" i
   done
 
+(* [{"k0":0,…,"k{m-1}":m-1}] with a second ["k{dup}"] inserted so it
+   lands at member position [at]. *)
+let object_with_duplicate m ~dup ~at =
+  let members = List.init m (fun i -> Printf.sprintf {|"k%d":%d|} i i) in
+  let rec insert i = function
+    | rest when i = at -> Printf.sprintf {|"k%d":"again"|} dup :: rest
+    | x :: rest -> x :: insert (i + 1) rest
+    | [] -> []
+  in
+  "{" ^ String.concat "," (insert 0 members) ^ "}"
+
+(* Duplicate keys meet the key table at every size through several of
+   its growths: objects of 1 to 70 members whose repeated key is the
+   first, a middle or the last member, repeated right after itself or
+   at the end, at the root and one level down beside a sibling. *)
+let duplicate_key_cases =
+  List.concat_map
+    (fun m ->
+      List.concat_map
+        (fun dup ->
+          List.concat_map
+            (fun at ->
+              let text = object_with_duplicate m ~dup ~at in
+              [ text; Printf.sprintf {|{"x":[],"y":%s}|} text ])
+            (List.sort_uniq compare [ dup + 1; m ]))
+        (List.sort_uniq compare [ 0; m / 2; m - 1 ]))
+    (List.init 70 succ)
+
 let test_direct_error_agreement () =
   let cases =
     [ {|{"a":1,}|}; {|[1,2|}; {|{"a" 1}|}; "nul"; {|{"a":1,"a":2}|};
       {|[1, -3]|}; {|"unterminated|}; {|{"a":tru}|}; {|[1,2]]|};
       {|"\ud800x"|}; ""; "}"; "true"; "null"; "-3"; "1.5"; {|{"k":}|};
-      {|[,]|}; {|{"a":1 "b":2}|}; {|{1:2}|} ]
+      {|[,]|}; {|{"a":1 "b":2}|}; {|{1:2}|};
+      (* escape-equal keys are one key *)
+      {|{"a":1,"\u0061":2}|}; {|{"\u00e9":1,"é":2}|}; {|{"a\/b":1,"a/b":2}|};
+      {|[{"k":{"a":1,"a":2}}]|} ]
+    @ duplicate_key_cases
   in
   List.iter
     (fun text ->
@@ -863,33 +895,97 @@ let test_direct_depth_agreement () =
    over), so only fail/succeed is compared. *)
 let test_direct_fuel_agreement () =
   let rng = Jworkload.Prng.create 7 in
-  let doc = Jworkload.Gen_json.sized rng 120 in
-  let text = Printer.compact doc in
-  let nodes = Value.size doc in
+  (* 70 members: enough for the key table to grow several times *)
+  let wide =
+    Value.Obj
+      (List.init 70 (fun i ->
+           (Printf.sprintf "k%d" i, Value.Arr [ Value.Num i ])))
+  in
   List.iter
-    (fun fuel ->
-      let combined =
-        let budget = Obs.Budget.create ~fuel () in
-        match Parser.parse ~budget text with
-        | Error _ -> `Fail
-        | Ok v -> (
-          match Tree.of_value ~budget v with
-          | _ -> `Ok
-          | exception Obs.Budget.Exhausted _ -> `Fail)
-      in
-      let direct =
-        match Tree.of_string ~budget:(Obs.Budget.create ~fuel ()) text with
-        | Ok _ -> `Ok
-        | Error _ -> `Fail
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "fuel %d agreement" fuel)
-        true (combined = direct);
-      if fuel >= 2 * nodes then
-        Alcotest.(check bool)
-          (Printf.sprintf "fuel %d suffices" fuel)
-          true (direct = `Ok))
-    [ 1; 2; 3; nodes; 2 * nodes - 1; 2 * nodes; 2 * nodes + 5 ]
+    (fun doc ->
+      let text = Printer.compact doc in
+      let nodes = Value.size doc in
+      List.iter
+        (fun fuel ->
+          let combined =
+            let budget = Obs.Budget.create ~fuel () in
+            match Parser.parse ~budget text with
+            | Error _ -> `Fail
+            | Ok v -> (
+              match Tree.of_value ~budget v with
+              | _ -> `Ok
+              | exception Obs.Budget.Exhausted _ -> `Fail)
+          in
+          let direct =
+            match Tree.of_string ~budget:(Obs.Budget.create ~fuel ()) text with
+            | Ok _ -> `Ok
+            | Error _ -> `Fail
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "fuel %d agreement" fuel)
+            true (combined = direct);
+          if fuel >= 2 * nodes then
+            Alcotest.(check bool)
+              (Printf.sprintf "fuel %d suffices" fuel)
+              true (direct = `Ok))
+        [ 1; 2; 3; nodes; 2 * nodes - 1; 2 * nodes; 2 * nodes + 5 ])
+    [ Jworkload.Gen_json.sized rng 120; wide ]
+
+(* The key table: one key under many parents is no duplicate, and
+   [lookup] of every member and of absent keys agrees with the key
+   arrays and with the [of_value] tree. *)
+let test_direct_key_table () =
+  let nested =
+    {|{"a":{"a":{"a":1,"b":2},"b":[{"a":1},{"a":2,"b":{"a":3}}]},"b":{"a":[]}}|}
+  in
+  let siblings =
+    "[" ^ String.concat ","
+      (List.init 300 (fun i -> Printf.sprintf {|{"id":%d,"k":{"id":%d}}|} i i))
+    ^ "]"
+  in
+  let wide m =
+    "{" ^ String.concat ","
+      (List.init m (fun i -> Printf.sprintf {|"k%d":{"k%d":%d}|} i i i))
+    ^ "}"
+  in
+  let rng = Jworkload.Prng.create 31 in
+  let generated =
+    List.init 40 (fun _ ->
+        Printer.compact
+          (Jworkload.Gen_json.sized rng (1 + Jworkload.Prng.int rng 500)))
+  in
+  List.iter
+    (fun text ->
+      let direct = Tree.of_string_exn text in
+      let oracle = Tree.of_value (Parser.parse_exn text) in
+      if not (trees_identical direct oracle) then
+        Alcotest.failf "direct/oracle trees differ on %S" text;
+      Tree.iter
+        (fun n ->
+          let kids = Tree.child_ids direct n in
+          Array.iteri
+            (fun i k ->
+              let got = Tree.lookup direct n k in
+              if got <> Some kids.(i) || got <> Tree.lookup oracle n k then
+                Alcotest.failf "lookup of %S under node %d in %S" k n text)
+            (Tree.obj_keys direct n);
+          List.iter
+            (fun k ->
+              if Tree.lookup direct n k <> None || Tree.lookup oracle n k <> None
+              then Alcotest.failf "absent key %S found under node %d" k n)
+            [ "missing"; "" ])
+        direct)
+    ((nested :: siblings :: List.init 70 (fun m -> wide (m + 1))) @ generated);
+  Alcotest.(check int) "nested keys all kept" 14
+    (Tree.node_count (Tree.of_string_exn nested));
+  Alcotest.check_raises "of_value rejects a duplicate past table growth"
+    (Value.Invalid "duplicate key \"k40\"")
+    (fun () ->
+      ignore
+        (Tree.of_value
+           (Value.Obj
+              (List.init 70 (fun i -> (Printf.sprintf "k%d" i, Value.Num i))
+              @ [ ("k40", Value.Num 0) ]))))
 
 let prop_direct_differential =
   QCheck.Test.make ~count:200 ~name:"of_string = of_value . parse"
@@ -1272,7 +1368,8 @@ let () =
        [ Alcotest.test_case "differential fuzz" `Quick test_direct_differential;
          Alcotest.test_case "error agreement" `Quick test_direct_error_agreement;
          Alcotest.test_case "depth agreement" `Quick test_direct_depth_agreement;
-         Alcotest.test_case "fuel agreement" `Quick test_direct_fuel_agreement ]);
+         Alcotest.test_case "fuel agreement" `Quick test_direct_fuel_agreement;
+         Alcotest.test_case "key table" `Quick test_direct_key_table ]);
       ("feed lexer",
        [ Alcotest.test_case "every split point" `Quick test_feed_every_split;
          Alcotest.test_case "byte at a time" `Quick test_feed_byte_at_a_time;

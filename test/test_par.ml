@@ -154,6 +154,77 @@ let test_batch_map_pool () =
       let b = Par.Batch.map ~jobs:1 batch_work docs in
       Alcotest.(check (array int)) "pool batch agrees with sequential" a b)
 
+(* Lazy tree columns under concurrency: the subtree-hash and height
+   columns and the label index are built by whichever domain reads
+   them first.  Four domains forcing them on one shared tree must read
+   exactly what a sequential run and the [of_value] tree read. *)
+type column_reads = {
+  hashes : int array;
+  heights : int array;
+  by_height : Jsont.Tree.node list array;
+  keyed : (string * Jsont.Tree.node array) list;
+}
+
+let read_columns tree keys =
+  let module Tree = Jsont.Tree in
+  let n = Tree.node_count tree in
+  { hashes = Array.init n (Tree.subtree_hash tree);
+    heights = Array.init n (Tree.height_of tree);
+    by_height = Tree.nodes_by_height tree;
+    keyed = List.map (fun k -> (k, Tree.key_index tree k)) keys }
+
+let test_lazy_columns_shared () =
+  let module Tree = Jsont.Tree in
+  let rng = Jworkload.Prng.create 41 in
+  let doc = Jworkload.Gen_json.sized rng 20_000 in
+  let text = Jsont.Value.to_string doc in
+  let keys =
+    let seen = Hashtbl.create 16 in
+    Tree.iter_key_index (fun k _ -> Hashtbl.replace seen k ())
+      (Tree.of_string_exn text);
+    "absent" :: List.of_seq (Hashtbl.to_seq_keys seen)
+  in
+  let sequential = read_columns (Tree.of_string_exn text) keys in
+  let oracle = read_columns (Tree.of_value doc) keys in
+  let shared = Tree.of_string_exn text in
+  let started = Atomic.make 0 in
+  let lane i () =
+    (* start together, each reading the columns in its own order *)
+    Atomic.incr started;
+    while Atomic.get started < 4 do Domain.cpu_relax () done;
+    if i mod 2 = 0 then ignore (Tree.height shared);
+    read_columns shared (if i mod 2 = 0 then keys else List.rev keys)
+  in
+  let domains = List.init 4 (fun i -> Domain.spawn (lane i)) in
+  List.iteri
+    (fun i d ->
+      let got = Domain.join d in
+      let got = { got with keyed = List.sort compare got.keyed } in
+      List.iter
+        (fun (what, want) ->
+          let want = { want with keyed = List.sort compare want.keyed } in
+          Alcotest.(check bool)
+            (Printf.sprintf "domain %d agrees with the %s run" i what)
+            true (got = want))
+        [ ("sequential", sequential); ("of_value", oracle) ])
+    domains
+
+(* The lazy sweeps are iterative: a 100k-deep array costs no stack. *)
+let test_lazy_columns_deep () =
+  let module Tree = Jsont.Tree in
+  let depth = 100_000 in
+  let text = String.make depth '[' ^ "1" ^ String.make depth ']' in
+  let tree = Tree.of_string_exn ~max_depth:(depth + 1) text in
+  let doc = ref (Jsont.Value.Num 1) in
+  for _ = 1 to depth do doc := Jsont.Value.Arr [ !doc ] done;
+  let oracle = Tree.of_value !doc in
+  Alcotest.(check int) "root hash" (Tree.subtree_hash oracle Tree.root)
+    (Tree.subtree_hash tree Tree.root);
+  Alcotest.(check int) "height" depth (Tree.height tree);
+  Alcotest.(check int) "leaf height" 0 (Tree.height_of tree depth);
+  Alcotest.(check bool) "equal across trees" true
+    (Tree.equal_across tree Tree.root oracle Tree.root)
+
 let () =
   Alcotest.run "par"
     [ ("pool",
@@ -167,4 +238,8 @@ let () =
            test_pool_stray_nonrecoverable ]);
       ("batch",
        [ Alcotest.test_case "jobs agreement" `Quick test_batch_jobs_agreement;
-         Alcotest.test_case "map_pool" `Quick test_batch_map_pool ]) ]
+         Alcotest.test_case "map_pool" `Quick test_batch_map_pool ]);
+      ("tree columns",
+       [ Alcotest.test_case "4 domains, one tree" `Quick
+           test_lazy_columns_shared;
+         Alcotest.test_case "100k-deep array" `Quick test_lazy_columns_deep ]) ]

@@ -278,6 +278,39 @@ let test_skip_metrics () =
       Alcotest.(check bool) "skipped bytes counted" true
         (Obs.Metrics.counter_value "validate.stream.skipped_bytes" > 0))
 
+(* A spill costs its own subtree, not the rest of the line: with one
+   uniqueItems spill per pair, the bytes run_stream allocates grow
+   linearly in the number of pairs.  A spilled tree sized from the
+   unconsumed input would make them grow with its square (a ratio of
+   ~16 below). *)
+let test_spill_cost_is_local () =
+  let plan =
+    plan_of {|{"properties":{"a":{"additionalItems":{"uniqueItems":true}}}}|}
+  in
+  let pairs n =
+    {|{"a":[|}
+    ^ String.concat ","
+        (List.init n (fun i -> Printf.sprintf "[%d,%d]" i (i + 1)))
+    ^ "]}"
+  in
+  with_metrics (fun () ->
+      Alcotest.(check bool) "pairs validate" true
+        (Plan.run_stream plan (pairs 10));
+      Alcotest.(check int) "one spill per pair" 10
+        (Obs.Metrics.counter_value "validate.stream.spills"));
+  let allocated text =
+    let before = Gc.allocated_bytes () in
+    let ok = Plan.run_stream plan text in
+    let bytes = Gc.allocated_bytes () -. before in
+    if not ok then Alcotest.fail "pairs must validate";
+    bytes
+  in
+  let a_small = allocated (pairs 2_000) and a_large = allocated (pairs 8_000) in
+  if a_large > 6. *. a_small then
+    Alcotest.failf
+      "allocation grows superlinearly: %.0f B at 2000 pairs, %.0f B at 8000"
+      a_small a_large
+
 (* ------------------------------------------------------------------ *)
 (* NDJSON line independence: a bad line must not poison its neighbours *)
 (* ------------------------------------------------------------------ *)
@@ -427,7 +460,9 @@ let () =
        [ Alcotest.test_case "uniqueItems" `Quick test_spill_unique_items;
          Alcotest.test_case "container enum" `Quick test_spill_container_enum;
          Alcotest.test_case "$ref sharing" `Quick test_spill_ref_sharing;
-         Alcotest.test_case "skip accounting" `Quick test_skip_metrics ]);
+         Alcotest.test_case "skip accounting" `Quick test_skip_metrics;
+         Alcotest.test_case "cost is the subtree's" `Quick
+           test_spill_cost_is_local ]);
       ("feed",
        [ Alcotest.test_case "keyword cases, chunked" `Quick
            test_feed_keyword_cases;

@@ -95,13 +95,24 @@ let topo_defs t =
   List.iter (fun (v, _) -> visit v) t.defs;
   List.rev !order
 
+(* One expansion per (variable, remaining height), shared by every
+   occurrence: copying it at each [Var] would make the formula grow
+   exponentially with the height; shared, it has O(|defs|·height)
+   distinct subterms. *)
 let unfold t ~height =
   let budget0 = height + 1 in
+  let expansions = Hashtbl.create 16 in
   let rec expand budget (f : Jsl.t) : Jsl.t =
     match f with
-    | Jsl.Var v ->
+    | Jsl.Var v -> (
       if budget <= 0 then Jsl.ff
-      else expand budget (List.assoc v t.defs)
+      else
+        match Hashtbl.find_opt expansions (v, budget) with
+        | Some g -> g
+        | None ->
+          let g = expand budget (List.assoc v t.defs) in
+          Hashtbl.add expansions (v, budget) g;
+          g)
     | Jsl.True | Jsl.Test _ -> f
     | Jsl.Not g -> Jsl.Not (expand budget g)
     | Jsl.And (a, b) -> Jsl.And (expand budget a, expand budget b)

@@ -88,9 +88,14 @@ let of_syntax r =
 
 let state_count t = Array.length t.trans
 
+(* Called per key per pattern and per string value by the plan
+   executors: a plain index loop, so a call allocates nothing. *)
 let accepts t w =
+  let trans = t.trans and class_of = t.class_of in
   let s = ref t.start in
-  String.iter (fun c -> s := t.trans.(!s).(t.class_of.(Char.code c))) w;
+  for i = 0 to String.length w - 1 do
+    s := trans.(!s).(class_of.(Char.code (String.unsafe_get w i)))
+  done;
   t.accept.(!s)
 
 let complement t = { t with accept = Array.map not t.accept }

@@ -44,11 +44,61 @@ type node = {
   nots : int array;
 }
 
+(* The stream executor's closure automaton (built lazily, see "execution
+   over the token stream" below).  A state is the same-node closure of a
+   requested plan-id set; its transitions are memoized member/element
+   edges. *)
+module Keys = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = String.hash
+end)
+
+module Id_sets = Map.Make (struct
+  type t = int list  (* ascending, distinct *)
+
+  let compare = List.compare Int.compare
+end)
+
+type closure = {
+  c_ids : int array;  (* slot -> plan id, post-order *)
+  c_cyclic : bool;
+  c_enum : bool;  (* some slot carries [enum] *)
+  c_unique : bool;  (* some slot carries [uniqueItems] *)
+  c_requested : int array;  (* the requested ids, ascending *)
+  c_requested_slots : int array;  (* ... and their slots *)
+  c_slot_of : (int, int) Hashtbl.t;  (* plan id -> slot; read by edge builds *)
+  c_any_of : int array array array;  (* per slot: [anyOf] groups, as slots *)
+  c_all_of : int array array;  (* per slot: [allOf]/[$ref], as slots *)
+  c_nots : int array array;  (* per slot: [not], as slots *)
+  c_keys : int Keys.t;  (* [properties]/[required] key -> key index *)
+  c_key_names : string array;  (* key index -> key *)
+  c_key_required : int array array;  (* key index -> slots requiring it *)
+  c_required : int array;  (* per slot: its number of required keys *)
+  c_requires : bool;  (* some slot has required keys *)
+  c_patterns : Dfa.t array;  (* distinct [patternProperties] regexes *)
+  c_masked : bool;  (* pattern matches fit an int mask *)
+  c_members : (int * edge) list Atomic.t array;
+    (* key index (the last one = unnamed) -> memoized (pattern mask, edge) *)
+  c_elements : edge option Atomic.t array;
+    (* tuple position below the longest [items]; the last = beyond *)
+}
+
+and edge = {
+  e_child : closure option;  (* [None]: nothing constrains the child *)
+  e_slots : int array;  (* parent slots that read child verdicts … *)
+  e_reads : int array array;  (* … and the child slots each conjoins *)
+  e_kills : int array;  (* parent slots the child's presence fails *)
+}
+
 type t = {
   nodes : node array;
   shared : bool array;
     (* ≥ 2 incoming plan-graph edges — the memoized subset *)
   root : int;
+  closures : closure Id_sets.t Atomic.t;
+    (* the stream automaton: requested set -> interned closure *)
 }
 
 let node_count p = Array.length p.nodes
@@ -239,7 +289,7 @@ let compile ?(budget = Obs.Budget.unlimited) (doc : Schema.document) =
   let nodes = Array.init b.count (fun i -> Hashtbl.find b.assigned i) in
   let shared = Array.init b.count (fun i -> !(Hashtbl.find b.refs i) >= 2) in
   Obs.Metrics.add "validate.plan.nodes" b.count;
-  { nodes; shared; root }
+  { nodes; shared; root; closures = Atomic.make Id_sets.empty }
 
 (* ---- execution over trees ------------------------------------------------ *)
 
@@ -370,25 +420,40 @@ let run ?budget p v = run_tree ?budget p (Tree.of_value ?budget v)
 
 (* ---- execution over the token stream ------------------------------------- *)
 
-(* Same-node closure of a requested plan-id set: everything reachable
-   through [anyOf]/[allOf]/[not] edges, which all constrain the {e
-   same} value (property/item edges descend to children and are
-   dispatched per member instead).  [Schema.well_formed] rejects
+(* The stream executor is a closure automaton that lives with the plan.
+   A state is the same-node closure of a requested plan-id set:
+   everything reachable through [anyOf]/[allOf]/[not] edges, which all
+   constrain the {e same} value (property/item edges descend to children
+   and are dispatched per member instead).  [Schema.well_formed] rejects
    non-modal reference cycles, so the closure is acyclic for every
    compilable document; the cycle flag is kept as a defensive fallback
    (a cyclic closure spills, reproducing [run_tree]'s divergence
    behavior instead of inventing a third semantics).  Ids are stored
-   children-first (post-order), so one ascending sweep combines per-id
-   verdicts with every same-node dependency already resolved. *)
-type closure = {
-  c_ids : int array;  (* post-order: same-node dependencies first *)
-  c_slot : (int, int) Hashtbl.t;  (* plan id -> index into [c_ids] *)
-  c_enum : bool;  (* some closure node carries [enum] *)
-  c_unique : bool;  (* some closure node carries [uniqueItems] *)
-  c_cyclic : bool;
-}
+   children-first (post-order), so one ascending sweep over a slot array
+   combines per-slot verdicts with every same-node dependency already
+   resolved.
 
-let closure_of p requested =
+   A transition depends only on plan data: a member's on which named
+   key it carries (if any) and which [patternProperties] regexes its
+   key matches, an element's on its tuple position (every position past
+   the longest [items] shares one edge).  Closures are interned per
+   requested set and edges memoized on first use, both published with a
+   compare-and-set: domains sharing the plan share the automaton without
+   locks, and since every entry is a deterministic function of the plan,
+   a lost race adopts the winner's equal value.  Only the winner counts
+   ([validate.stream.closures], [validate.stream.edges]), so totals do
+   not depend on the number of domains.
+
+   The memo is bounded by the plan: per closure, one edge per tuple
+   position below the longest [items] plus one, and per key index
+   (named keys plus one for unnamed) at most [mask_memo] pattern masks.
+   Members past that bound, or of closures with more distinct patterns
+   than an int mask holds, compute their edge afresh — correct, just
+   slower. *)
+
+let mask_memo = 16
+
+let build_closure p requested =
   let slot = Hashtbl.create 8 in
   let order = ref [] in
   let count = ref 0 in
@@ -412,61 +477,330 @@ let closure_of p requested =
     end
   in
   List.iter go requested;
-  { c_ids = Array.of_list (List.rev !order);
-    c_slot = slot;
+  let ids = Array.of_list (List.rev !order) in
+  let nodes = Array.map (fun id -> p.nodes.(id)) ids in
+  let slots = Array.map (Hashtbl.find slot) in
+  (* member dispatch: every key some slot names or requires gets an
+     index; all other keys share the last one *)
+  let keys = Keys.create 16 and names = ref [] in
+  let key_index k =
+    match Keys.find_opt keys k with
+    | Some i -> i
+    | None ->
+      let i = Keys.length keys in
+      Keys.add keys k i;
+      names := k :: !names;
+      i
+  in
+  Array.iter
+    (fun nd ->
+      Hashtbl.iter (fun k _ -> ignore (key_index k)) nd.props;
+      Array.iter (fun k -> ignore (key_index k)) nd.required)
+    nodes;
+  let key_names = Array.of_list (List.rev !names) in
+  let key_required = Array.make (Array.length key_names) [] in
+  Array.iteri
+    (fun s nd ->
+      Array.iter
+        (fun k ->
+          let i = Keys.find keys k in
+          key_required.(i) <- s :: key_required.(i))
+        nd.required)
+    nodes;
+  let patterns =
+    Array.fold_left
+      (fun acc nd ->
+        Array.fold_left
+          (fun acc (re, _) -> if List.memq re acc then acc else re :: acc)
+          acc nd.pattern_props)
+      [] nodes
+    |> List.rev |> Array.of_list
+  in
+  let items_max =
+    Array.fold_left
+      (fun m nd ->
+        match nd.items with Some ss -> max m (Array.length ss) | None -> m)
+      0 nodes
+  in
+  let required = Array.map (fun nd -> Array.length nd.required) nodes in
+  let requested = Array.of_list requested in
+  { c_ids = ids;
+    c_cyclic = !cyclic;
     c_enum = !enum;
     c_unique = !unique;
-    c_cyclic = !cyclic }
+    c_requested = requested;
+    c_requested_slots = slots requested;
+    c_slot_of = slot;
+    c_any_of = Array.map (fun nd -> Array.map slots nd.any_of) nodes;
+    c_all_of = Array.map (fun nd -> slots nd.all_of) nodes;
+    c_nots = Array.map (fun nd -> slots nd.nots) nodes;
+    c_keys = keys;
+    c_key_names = key_names;
+    c_key_required =
+      Array.map (fun l -> Array.of_list (List.rev l)) key_required;
+    c_required = required;
+    c_requires = Array.exists (fun r -> r > 0) required;
+    c_patterns = patterns;
+    c_masked = Array.length patterns < Sys.int_size;
+    c_members =
+      Array.init (Array.length key_names + 1) (fun _ -> Atomic.make []);
+    c_elements = Array.init (items_max + 1) (fun _ -> Atomic.make None) }
+
+let intern_closure p requested =
+  match Id_sets.find_opt requested (Atomic.get p.closures) with
+  | Some c -> c
+  | None ->
+    let c = build_closure p requested in
+    let rec publish () =
+      let table = Atomic.get p.closures in
+      match Id_sets.find_opt requested table with
+      | Some winner -> winner
+      | None ->
+        if Atomic.compare_and_set p.closures table
+             (Id_sets.add requested c table)
+        then begin
+          Obs.Metrics.incr "validate.stream.closures";
+          c
+        end
+        else publish ()
+    in
+    publish ()
+
+(* An edge given each slot's child obligations (plan ids) and the
+   slots that fail outright. *)
+let edge_of p per_slot kills =
+  let kills = Array.of_list (List.rev kills) in
+  match List.sort_uniq Int.compare (List.concat (Array.to_list per_slot)) with
+  | [] -> { e_child = None; e_slots = [||]; e_reads = [||]; e_kills = kills }
+  | requested ->
+    let child = intern_closure p requested in
+    let reading =
+      List.filter
+        (fun s -> per_slot.(s) <> [])
+        (List.init (Array.length per_slot) Fun.id)
+    in
+    let reads s =
+      Array.of_list (List.map (Hashtbl.find child.c_slot_of) per_slot.(s))
+    in
+    { e_child = Some child;
+      e_slots = Array.of_list reading;
+      e_reads = Array.of_list (List.map reads reading);
+      e_kills = kills }
+
+(* every plan listed for a named key applies, every matching
+   [patternProperties] plan applies, and uncovered keys fall to all
+   [additionalProperties] plans *)
+let member_edge_of p c kidx matched =
+  let per_slot =
+    Array.map
+      (fun id ->
+        let nd = p.nodes.(id) in
+        let listed =
+          if kidx < Array.length c.c_key_names then
+            Hashtbl.find_opt nd.props c.c_key_names.(kidx)
+          else None
+        in
+        let named = ref (listed <> None) in
+        let acc =
+          ref (match listed with Some ps -> Array.to_list ps | None -> [])
+        in
+        Array.iter
+          (fun (re, pid) ->
+            let rec index j =
+              if c.c_patterns.(j) == re then j else index (j + 1)
+            in
+            if matched (index 0) then begin
+              named := true;
+              acc := pid :: !acc
+            end)
+          nd.pattern_props;
+        if !named then !acc else Array.to_list nd.additional)
+      c.c_ids
+  in
+  edge_of p per_slot []
+
+(* position [k] of the tuple, or (at the last index) any position past
+   the longest [items] *)
+let element_edge_of p c k =
+  let kills = ref [] in
+  let per_slot =
+    Array.mapi
+      (fun s id ->
+        let nd = p.nodes.(id) in
+        match (nd.items, nd.additional_items) with
+        | None, None -> []
+        | None, Some a -> [ a ]
+        | Some ss, add -> (
+          if k < Array.length ss then [ ss.(k) ]
+          else
+            match add with
+            | None ->
+              kills := s :: !kills (* §5.1: nothing beyond the tuple *);
+              []
+            | Some a -> [ a ]))
+      c.c_ids
+  in
+  edge_of p per_slot !kills
+
+let rec memo_find mask = function
+  | [] -> raise Not_found
+  | (m, e) :: rest -> if m = mask then e else memo_find mask rest
+
+let member_edge p c kidx mask =
+  let cell = c.c_members.(kidx) in
+  match memo_find mask (Atomic.get cell) with
+  | e -> e
+  | exception Not_found ->
+    let e = member_edge_of p c kidx (fun j -> mask land (1 lsl j) <> 0) in
+    let rec publish () =
+      let memo = Atomic.get cell in
+      match memo_find mask memo with
+      | winner -> winner
+      | exception Not_found ->
+        if List.length memo >= mask_memo then e
+        else if Atomic.compare_and_set cell memo ((mask, e) :: memo) then
+        begin
+          Obs.Metrics.incr "validate.stream.edges";
+          e
+        end
+        else publish ()
+    in
+    publish ()
+
+let element_edge p c i =
+  let last = Array.length c.c_elements - 1 in
+  let cell = c.c_elements.(if i < last then i else last) in
+  match Atomic.get cell with
+  | Some e -> e
+  | None ->
+    let e = element_edge_of p c (min i last) in
+    if Atomic.compare_and_set cell None (Some e) then begin
+      Obs.Metrics.incr "validate.stream.edges";
+      e
+    end
+    else Option.get (Atomic.get cell)
+
+(* Per-value checks as index loops over plan arrays: nothing here
+   allocates.  Scalar [enum] membership is decided directly on the
+   token's atom — the scalar cases never spill.  Candidate values come
+   from [enum_set], which dropped anything not constructible as a tree,
+   exactly like the tree-path comparison would. *)
+let rec multiples_ok v ms i =
+  i >= Array.length ms
+  || (let m = ms.(i) in
+      m <> 0 && v mod m = 0 && multiples_ok v ms (i + 1))
+
+let rec patterns_ok s dfas i =
+  i >= Array.length dfas
+  || (Dfa.accepts dfas.(i) s && patterns_ok s dfas (i + 1))
+
+let rec enum_has_int v entries i =
+  i < Array.length entries
+  && ((match entries.(i).e_value with Value.Num m -> m = v | _ -> false)
+     || enum_has_int v entries (i + 1))
+
+let rec enum_has_str s entries i =
+  i < Array.length entries
+  && ((match entries.(i).e_value with
+      | Value.Str t -> String.equal t s
+      | _ -> false)
+     || enum_has_str s entries (i + 1))
+
+let rec enums_int v sets i =
+  i >= Array.length sets
+  || (enum_has_int v sets.(i) 0 && enums_int v sets (i + 1))
+
+let rec enums_str s sets i =
+  i >= Array.length sets
+  || (enum_has_str s sets.(i) 0 && enums_str s sets (i + 1))
+
+let rec all_slots v g i =
+  i >= Array.length g || (v.(g.(i)) && all_slots v g (i + 1))
+
+let rec any_slot v g i =
+  i < Array.length g && (v.(g.(i)) || any_slot v g (i + 1))
+
+let rec no_slot v g i =
+  i >= Array.length g || ((not v.(g.(i))) && no_slot v g (i + 1))
+
+let rec groups_ok v gs i =
+  i >= Array.length gs || (any_slot v gs.(i) 0 && groups_ok v gs (i + 1))
+
+let scalar_int p c v x =
+  for s = 0 to Array.length v - 1 do
+    let nd = p.nodes.(c.c_ids.(s)) in
+    v.(s) <-
+      nd.type_mask land 0b1000 <> 0
+      && x >= nd.min_bound && x <= nd.max_bound
+      && multiples_ok x nd.multiples 0
+      && enums_int x nd.enums 0
+  done
+
+let scalar_str p c v x =
+  for s = 0 to Array.length v - 1 do
+    let nd = p.nodes.(c.c_ids.(s)) in
+    v.(s) <-
+      nd.type_mask land 0b0100 <> 0
+      && patterns_ok x nd.patterns 0
+      && enums_str x nd.enums 0
+  done
+
+(* across the same-node graph, children first, in place *)
+let combine c v =
+  for s = 0 to Array.length v - 1 do
+    if v.(s) then
+      v.(s) <-
+        groups_ok v c.c_any_of.(s) 0
+        && all_slots v c.c_all_of.(s) 0
+        && no_slot v c.c_nots.(s) 0
+  done
 
 type stream_state = {
   s_budget : Obs.Budget.t;
   s_mode : [ `Strict | `Lenient ];
   s_lx : Lexer.t;
-  s_closures : (int list, closure) Hashtbl.t;
-    (* closures depend only on the requested set, which repeats for
-       every element of a homogeneous array — cache them per run *)
+  mutable s_seen : unit Keys.t array;
+    (* duplicate-key sets, one per open object, reused across objects *)
+  mutable s_level : int;  (* open objects *)
   mutable s_values : int;  (* values decided in the stream, not skipped *)
   mutable s_live : int;  (* closure ids summed over the open frames *)
   mutable s_peak : int;  (* high-water mark of [s_live] *)
 }
 
-let closure st p requested =
-  match Hashtbl.find_opt st.s_closures requested with
-  | Some c -> c
-  | None ->
-    let c = closure_of p requested in
-    Hashtbl.add st.s_closures requested c;
-    c
+let no_keys : unit Keys.t = Keys.create 1
 
-(* Scalar [enum] membership directly on the token's atom — the scalar
-   cases never spill.  Candidate values come from [enum_set], which
-   dropped anything not constructible as a tree, exactly like the
-   tree-path comparison would. *)
-let enum_has_int v entries =
-  Array.exists
-    (fun e -> match e.e_value with Value.Num m -> m = v | _ -> false)
-    entries
+(* the duplicate-key set of a newly opened object *)
+let open_object st =
+  let level = st.s_level in
+  st.s_level <- level + 1;
+  if level >= Array.length st.s_seen then begin
+    let grown = Array.make (2 * level + 2) no_keys in
+    Array.blit st.s_seen 0 grown 0 level;
+    st.s_seen <- grown
+  end;
+  let seen = st.s_seen.(level) in
+  if seen == no_keys then begin
+    let seen = Keys.create 16 in
+    st.s_seen.(level) <- seen;
+    seen
+  end
+  else begin
+    (* clearing costs the bucket array: shrink one a wide object grew *)
+    if Keys.length seen > 64 then Keys.reset seen else Keys.clear seen;
+    seen
+  end
 
-let enum_has_str s entries =
-  Array.exists
-    (fun e ->
-      match e.e_value with Value.Str t -> String.equal t s | _ -> false)
-    entries
-
-(* One streamed value against the plan-id set [requested] (sorted).
-   Returns per-id verdicts for the whole same-node closure (spills
-   return just [requested], which is all a caller ever reads).  The
-   token handling mirrors [Tree.of_string_exn] member for member, so
-   malformed documents render byte-identical errors through either
-   engine; fuel is charged per streamed value ([1] parse unit plus one
-   per active closure node), per skipped value ([1]) and per spilled
-   value (the materialization's [2] plus [run_tree]'s per-(node, plan)
-   unit), and the depth ceiling follows document nesting with the same
-   positions as the parser. *)
-let rec stream_value st p requested depth =
-  let c = closure st p requested in
-  let ids = c.c_ids in
-  let n = Array.length ids in
+(* One streamed value against closure [c].  Returns one verdict per
+   closure slot (a spill fills just the requested slots, which is all a
+   caller ever reads).  The token handling mirrors [Tree.of_string_exn]
+   member for member, so malformed documents render byte-identical
+   errors through either engine; fuel is charged per streamed value
+   ([1] parse unit plus one per closure slot), per skipped value ([1])
+   and per spilled value (the materialization's [2] plus [run_tree]'s
+   per-(node, plan) unit), and the depth ceiling follows document
+   nesting with the same positions as the parser. *)
+let rec stream_value st p c depth =
+  let n = Array.length c.c_ids in
   let pos, tok = Lexer.peek st.s_lx in
   Parser.guard ~units:(1 + n) st.s_budget pos depth;
   Obs.Metrics.incr "parse.values";
@@ -479,225 +813,155 @@ let rec stream_value st p requested depth =
     | Lexer.Lbracket -> c.c_enum || c.c_unique
     | _ -> false
   in
-  if must_spill then spill st p requested depth
+  if must_spill then spill st p c depth
   else begin
     st.s_live <- st.s_live + n;
     if st.s_live > st.s_peak then st.s_peak <- st.s_live;
-    let nodes = p.nodes in
-    let structural = Array.make n false in
-    let scalar_int v =
-      for i = 0 to n - 1 do
-        let nd = nodes.(ids.(i)) in
-        structural.(i) <-
-          nd.type_mask land 0b1000 <> 0
-          && v >= nd.min_bound && v <= nd.max_bound
-          && Array.for_all (fun m -> m <> 0 && v mod m = 0) nd.multiples
-          && Array.for_all (enum_has_int v) nd.enums
-      done
-    in
-    let scalar_str s =
-      for i = 0 to n - 1 do
-        let nd = nodes.(ids.(i)) in
-        structural.(i) <-
-          nd.type_mask land 0b0100 <> 0
-          && Array.for_all (fun dfa -> Dfa.accepts dfa s) nd.patterns
-          && Array.for_all (enum_has_str s) nd.enums
-      done
-    in
+    let v = Array.make n true in
     let pos, tok = Lexer.next st.s_lx in
     (match tok with
-    | Lexer.Lbrace -> stream_obj st p c depth structural
-    | Lexer.Lbracket -> stream_arr st p c depth structural
-    | Lexer.Nat v -> scalar_int v
-    | Lexer.String s -> scalar_str s
+    | Lexer.Lbrace -> stream_obj st p c depth v
+    | Lexer.Lbracket -> stream_arr st p c depth v
+    | Lexer.Nat x -> scalar_int p c v x
+    | Lexer.String x -> scalar_str p c v x
     | Lexer.Neg_int _ | Lexer.Float _ | Lexer.True | Lexer.False
     | Lexer.Null -> (
       match Parser.literal_atom st.s_mode pos tok with
-      | Parser.Int v -> scalar_int v
-      | Parser.Str s -> scalar_str s)
+      | Parser.Int x -> scalar_int p c v x
+      | Parser.Str x -> scalar_str p c v x)
     | Lexer.Rbrace | Lexer.Rbracket | Lexer.Colon | Lexer.Comma | Lexer.Eof
       ->
       Parser.unexpected pos tok "a JSON value");
-    (* combine across the same-node graph, children first *)
-    let finals = Array.make n false in
-    let fin pid = finals.(Hashtbl.find c.c_slot pid) in
-    for i = 0 to n - 1 do
-      let nd = nodes.(ids.(i)) in
-      finals.(i) <-
-        structural.(i)
-        && Array.for_all (fun group -> Array.exists fin group) nd.any_of
-        && Array.for_all fin nd.all_of
-        && Array.for_all (fun pid -> not (fin pid)) nd.nots
-    done;
-    let tbl = Hashtbl.create (2 * n) in
-    Array.iteri (fun i id -> Hashtbl.replace tbl id finals.(i)) ids;
+    combine c v;
     st.s_live <- st.s_live - n;
-    tbl
+    v
   end
 
-(* A member/element's child obligations: the union of every closure
-   node's dispatch for it is evaluated once ([per_slot] remembers which
-   verdicts each closure node then reads back), or skipped outright when
-   no active node constrains it. *)
-and stream_child st p depth per_slot union union_n ok =
-  if union_n = 0 then begin
+(* A member/element through its edge: parent slots the edge kills fail,
+   the child is streamed against the edge's closure (or skipped outright
+   when nothing constrains it), and each reading slot conjoins its
+   child verdicts. *)
+and follow st p depth v e =
+  let kills = e.e_kills in
+  for j = 0 to Array.length kills - 1 do
+    v.(kills.(j)) <- false
+  done;
+  match e.e_child with
+  | None ->
     let before = Lexer.offset st.s_lx in
     Parser.skip_value st.s_mode st.s_budget st.s_lx (depth + 1);
     Obs.Metrics.add "validate.stream.skipped_bytes"
       (Lexer.offset st.s_lx - before)
-  end
-  else begin
-    let ctbl = stream_value st p (List.sort_uniq compare union) (depth + 1) in
-    Array.iteri
-      (fun i pids ->
-        if ok.(i) then
-          ok.(i) <- List.for_all (fun pid -> Hashtbl.find ctbl pid) pids)
-      per_slot
-  end
+  | Some child ->
+    let cv = stream_value st p child (depth + 1) in
+    let slots = e.e_slots and reads = e.e_reads in
+    for j = 0 to Array.length slots - 1 do
+      let s = slots.(j) in
+      if v.(s) then v.(s) <- all_slots cv reads.(j) 0
+    done
 
-and stream_obj st p c depth structural =
-  let nodes = p.nodes in
-  let ids = c.c_ids in
-  let n = Array.length ids in
-  let ok = Array.make n true in
-  let seen = Hashtbl.create 8 in
+and stream_member st p c depth v counts key =
+  let unnamed = Array.length c.c_key_names in
+  let kidx =
+    match Keys.find c.c_keys key with i -> i | exception Not_found -> unnamed
+  in
+  if kidx < unnamed then begin
+    let slots = c.c_key_required.(kidx) in
+    for j = 0 to Array.length slots - 1 do
+      counts.(slots.(j)) <- counts.(slots.(j)) + 1
+    done
+  end;
+  let pats = c.c_patterns in
+  let e =
+    if c.c_masked then begin
+      let mask = ref 0 in
+      for j = 0 to Array.length pats - 1 do
+        if Dfa.accepts pats.(j) key then mask := !mask lor (1 lsl j)
+      done;
+      member_edge p c kidx !mask
+    end
+    else member_edge_of p c kidx (fun j -> Dfa.accepts pats.(j) key)
+  in
+  follow st p depth v e
+
+and stream_obj st p c depth v =
+  let lx = st.s_lx in
+  let seen = open_object st in
+  let counts = if c.c_requires then Array.make (Array.length v) 0 else [||] in
   let arity = ref 0 in
-  let member key =
-    incr arity;
-    let union = ref [] and union_n = ref 0 in
-    let in_union = Hashtbl.create 8 in
-    let add pid =
-      if not (Hashtbl.mem in_union pid) then begin
-        Hashtbl.add in_union pid ();
-        union := pid :: !union;
-        incr union_n
-      end
-    in
-    let per_slot = Array.make n [] in
-    for i = 0 to n - 1 do
-      let nd = nodes.(ids.(i)) in
-      let acc = ref [] in
-      let named = ref false in
-      (match Hashtbl.find_opt nd.props key with
-      | Some ps ->
-        named := true;
-        Array.iter (fun pid -> acc := pid :: !acc) ps
-      | None -> ());
-      Array.iter
-        (fun (re, pid) ->
-          if Dfa.accepts re key then begin
-            named := true;
-            acc := pid :: !acc
-          end)
-        nd.pattern_props;
-      if not !named then Array.iter (fun pid -> acc := pid :: !acc) nd.additional;
-      per_slot.(i) <- !acc;
-      List.iter add !acc
-    done;
-    stream_child st p depth per_slot !union !union_n ok
-  in
-  let rec members () =
-    let pos, tok = Lexer.next st.s_lx in
-    match tok with
-    | Lexer.String key ->
-      if Hashtbl.mem seen key then
-        Parser.fail pos "duplicate object key %S" key;
-      Hashtbl.add seen key ();
-      let pos, tok = Lexer.next st.s_lx in
-      if tok <> Lexer.Colon then Parser.unexpected pos tok "':'";
-      member key;
-      let pos, tok = Lexer.next st.s_lx in
-      (match tok with
-      | Lexer.Comma -> members ()
-      | Lexer.Rbrace -> ()
-      | _ -> Parser.unexpected pos tok "',' or '}'")
-    | _ -> Parser.unexpected pos tok "a string key"
-  in
-  let _, tok = Lexer.peek st.s_lx in
-  if tok = Lexer.Rbrace then ignore (Lexer.next st.s_lx) else members ();
-  for i = 0 to n - 1 do
-    let nd = nodes.(ids.(i)) in
-    structural.(i) <-
-      nd.type_mask land 0b0001 <> 0
-      && ok.(i)
+  (match Lexer.peek lx with
+  | _, Lexer.Rbrace -> ignore (Lexer.next lx)
+  | _ ->
+    let more = ref true in
+    while !more do
+      let pos, tok = Lexer.next lx in
+      match tok with
+      | Lexer.String key -> (
+        if Keys.mem seen key then
+          Parser.fail pos "duplicate object key %S" key;
+        Keys.add seen key ();
+        (match Lexer.next lx with
+        | _, Lexer.Colon -> ()
+        | pos, tok -> Parser.unexpected pos tok "':'");
+        incr arity;
+        stream_member st p c depth v counts key;
+        match Lexer.next lx with
+        | _, Lexer.Comma -> ()
+        | _, Lexer.Rbrace -> more := false
+        | pos, tok -> Parser.unexpected pos tok "',' or '}'")
+      | _ -> Parser.unexpected pos tok "a string key"
+    done);
+  st.s_level <- st.s_level - 1;
+  for s = 0 to Array.length v - 1 do
+    let nd = p.nodes.(c.c_ids.(s)) in
+    v.(s) <-
+      v.(s)
+      && nd.type_mask land 0b0001 <> 0
       && !arity >= nd.min_props && !arity <= nd.max_props
-      && Array.for_all (Hashtbl.mem seen) nd.required
+      && (c.c_required.(s) = 0 || counts.(s) = c.c_required.(s))
   done
 
-and stream_arr st p c depth structural =
-  let nodes = p.nodes in
-  let ids = c.c_ids in
-  let n = Array.length ids in
-  let ok = Array.make n true in
+and stream_arr st p c depth v =
+  let lx = st.s_lx in
   let len = ref 0 in
-  let element () =
-    let i = !len in
-    incr len;
-    let union = ref [] and union_n = ref 0 in
-    let in_union = Hashtbl.create 8 in
-    let add pid =
-      if not (Hashtbl.mem in_union pid) then begin
-        Hashtbl.add in_union pid ();
-        union := pid :: !union;
-        incr union_n
-      end
-    in
-    let per_slot = Array.make n [] in
-    for s = 0 to n - 1 do
-      let nd = nodes.(ids.(s)) in
-      let acc = ref [] in
-      (match (nd.items, nd.additional_items) with
-      | None, None -> ()
-      | None, Some a -> acc := [ a ]
-      | Some ss, add_items ->
-        if i < Array.length ss then acc := [ ss.(i) ]
-        else (
-          match add_items with
-          | None -> ok.(s) <- false (* §5.1: nothing beyond the tuple *)
-          | Some a -> acc := [ a ]));
-      per_slot.(s) <- !acc;
-      List.iter add !acc
-    done;
-    stream_child st p depth per_slot !union !union_n ok
-  in
-  let rec elements () =
-    element ();
-    let pos, tok = Lexer.next st.s_lx in
-    match tok with
-    | Lexer.Comma -> elements ()
-    | Lexer.Rbracket -> ()
-    | _ -> Parser.unexpected pos tok "',' or ']'"
-  in
-  let _, tok = Lexer.peek st.s_lx in
-  if tok = Lexer.Rbracket then ignore (Lexer.next st.s_lx) else elements ();
-  for s = 0 to n - 1 do
-    let nd = nodes.(ids.(s)) in
+  (match Lexer.peek lx with
+  | _, Lexer.Rbracket -> ignore (Lexer.next lx)
+  | _ ->
+    let more = ref true in
+    while !more do
+      follow st p depth v (element_edge p c !len);
+      incr len;
+      match Lexer.next lx with
+      | _, Lexer.Comma -> ()
+      | _, Lexer.Rbracket -> more := false
+      | pos, tok -> Parser.unexpected pos tok "',' or ']'"
+    done);
+  for s = 0 to Array.length v - 1 do
+    let nd = p.nodes.(c.c_ids.(s)) in
     let tuple_complete =
       match nd.items with
       | Some ss -> !len >= Array.length ss (* §5.1: positions must exist *)
       | None -> true
     in
-    structural.(s) <- nd.type_mask land 0b0010 <> 0 && ok.(s) && tuple_complete
+    v.(s) <- v.(s) && nd.type_mask land 0b0010 <> 0 && tuple_complete
   done
 
 (* Materialize exactly one subtree through the column builder and fall
    back to [run_tree] semantics on it — the bounded escape hatch for
    the keywords that genuinely need the whole subtree ([uniqueItems],
    [enum] deep equality) or a cyclic closure. *)
-and spill st p requested depth =
+and spill st p c depth =
   Obs.Metrics.incr "validate.stream.spills";
   let t =
     Tree.of_lexer_exn ~mode:st.s_mode ~base_depth:depth ~budget:st.s_budget
       st.s_lx
   in
-  let est = { budget = st.s_budget; memo = Hashtbl.create 64 } in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun id ->
-      if not (Hashtbl.mem tbl id) then
-        Hashtbl.replace tbl id (exec p est t Tree.root id depth))
-    requested;
-  tbl
+  let est = { budget = st.s_budget; memo = Hashtbl.create 8 } in
+  let v = Array.make (Array.length c.c_ids) false in
+  Array.iteri
+    (fun k id -> v.(c.c_requested_slots.(k)) <- exec p est t Tree.root id depth)
+    c.c_requested;
+  v
 
 type stream_stats = { values : int; peak_obligations : int }
 
@@ -707,15 +971,17 @@ let stream_run budget mode p lx =
     { s_budget = budget;
       s_mode = mode;
       s_lx = lx;
-      s_closures = Hashtbl.create 16;
+      s_seen = [||];
+      s_level = 0;
       s_values = 0;
       s_live = 0;
       s_peak = 0 }
   in
-  let tbl = stream_value st p [ p.root ] 0 in
+  let c = intern_closure p [ p.root ] in
+  let v = stream_value st p c 0 in
   let pos, tok = Lexer.next lx in
   if tok <> Lexer.Eof then Parser.unexpected pos tok "end of input";
-  (Hashtbl.find tbl p.root, st)
+  (v.(c.c_requested_slots.(0)), st)
 
 let run_lexer ?(budget = Obs.Budget.unlimited) ?(mode = `Strict) p lx =
   fst (stream_run budget mode p lx)

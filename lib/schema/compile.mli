@@ -35,8 +35,17 @@
     Metrics: span [validate.compile]; counters [validate.plan.nodes],
     [validate.compile.dfas], [validate.plan.runs], [validate.memo.hit].
 
-    A compiled plan is immutable and safe to share across domains; the
-    per-run memo table is private to each {!run_tree} call. *)
+    A compiled plan is safe to share across domains.  Its nodes are
+    immutable, and the per-run memo table is private to each
+    {!run_tree} call.  The plan also carries the {!run_stream}
+    executor's {e closure automaton}, built lazily as documents stream
+    through it: same-node closures interned per requested plan-id set,
+    and memoized member/element edges between them.  Entries are
+    published with a compare-and-set and are deterministic functions
+    of the plan, so concurrent runs share them without locks and a
+    lost race adopts an equal value.  The automaton is bounded by the
+    plan, never by the documents (counters
+    [validate.stream.closures], [validate.stream.edges]). *)
 
 type t
 (** A compiled schema document. *)
@@ -94,7 +103,10 @@ val run_stream :
     (default [`Strict]).
 
     Counters: [validate.stream.runs], [validate.stream.spills],
-    [validate.stream.skipped_bytes] (plus the shared [parse.values]).
+    [validate.stream.skipped_bytes], [validate.stream.closures] and
+    [validate.stream.edges] (automaton states and edges added to the
+    plan; documents of shapes the plan has already streamed add none)
+    plus the shared [parse.values].
 
     @raise Jsont.Parser.Parse_error on malformed input and budget
     exhaustion inside the streaming/parsing layers,

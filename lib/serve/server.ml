@@ -462,7 +462,10 @@ let create cfg =
     bound;
     cache = Plan_cache.create ~capacity:cfg.cache_capacity;
     indexes = { readers = []; lock = Mutex.create () };
-    pool = (if cfg.jobs >= 2 then Some (Par.Pool.create cfg.jobs) else None);
+    (* [jobs] connection workers: the accept loop only accepts, so its
+       own lane would never run a connection *)
+    pool =
+      (if cfg.jobs >= 2 then Some (Par.Pool.create (cfg.jobs + 1)) else None);
     stop = Atomic.make false;
     active = Atomic.make 0;
     requests = Atomic.make 0;

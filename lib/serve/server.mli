@@ -20,8 +20,9 @@
 
     {b Concurrency.}  The accept loop runs on the calling domain and
     dispatches each connection to the [lib/par] domain pool ([jobs]
-    lanes: the accept loop plus [jobs - 1] connection workers;
-    [jobs <= 1] handles connections inline, serially).  Plans are
+    connection workers beside the accept loop, so [jobs] connections
+    are served at once; [jobs <= 1] handles connections inline,
+    serially).  Plans are
     immutable and shared; every request draws a fresh
     {!Obs.Budget.t}, so budgets never cross requests or domains.
 
@@ -53,7 +54,7 @@ type endpoint = [ `Unix of string | `Tcp of string * int ]
 
 type config = {
   listen : endpoint;
-  jobs : int;  (** pool lanes, accept loop included; [<= 1] = inline *)
+  jobs : int;  (** connections served at once; [<= 1] = inline *)
   cache_capacity : int;  (** plan-cache entries kept (LRU beyond) *)
   chunk_bytes : int;  (** socket read size = lexer feed granularity *)
   max_body_bytes : int;  (** largest declared schema/document length *)

@@ -390,6 +390,42 @@ if [ "$p_stream" != "$pairs:1	valid" ] || [ "$p_tree" != "$pairs	valid" ]; then
   printf '%s\n---\n%s\n' "$p_stream" "$p_tree" >&2
   exit 1
 fi
+
+# Key-flood gate: the stream executor memoizes member edges by (named
+# key, patternProperties match mask), never by the key itself.  One
+# line with 100,000 distinct unnamed keys hitting two patterns in all
+# four combinations may build at most 2^2 edges, and must agree with
+# the tree route.
+flood="$sdir/flood.ndjson"
+awk 'BEGIN { printf "{"
+             for (i = 0; i < 100000; i++) {
+               m = i % 4
+               k = (m == 0) ? "a" i : (m == 1) ? i "b" : (m == 2) ? "a" i "b" : "k" i
+               printf "%s\"%s\":%d", (i ? "," : ""), k, 1 + i % 5
+             }
+             printf "}\n" }' > "$flood"
+cat > "$sdir/flood_schema.json" <<'EOF'
+{"type":"object",
+ "patternProperties":{"a[a-z0-9]*":{"type":"number"},
+                      "[a-z0-9]*b":{"type":"number","minimum":1}},
+ "additionalProperties":{"type":"number"}}
+EOF
+echo "$flood" > "$sdir/flood_list"
+f_stream=$(run 60 "$JSONLOGIC" validate -s "$sdir/flood_schema.json" \
+  --stream --metrics "$flood" 2> "$sdir/flood_metrics")
+f_stream=$(printf '%s\n' "$f_stream" | sed 1d)   # drop run's echo
+f_tree=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/flood_schema.json" \
+  --files-from "$sdir/flood_list")
+if [ "$f_stream" != "$flood:1	valid" ] || [ "$f_tree" != "$flood	valid" ]; then
+  echo "FAIL: key-flood line: stream and tree routes disagree" >&2
+  printf '%s\n---\n%s\n' "$f_stream" "$f_tree" >&2
+  exit 1
+fi
+f_edges=$(awk '$1 == "validate.stream.edges" { print $2 }' "$sdir/flood_metrics")
+if [ -z "$f_edges" ] || [ "$f_edges" -gt 4 ]; then
+  echo "FAIL: key flood built ${f_edges:-no} stream edges (bound 4)" >&2
+  exit 1
+fi
 rm -rf "$sdir"
 
 # Serve smoke gate: a daemon on a temp socket must answer a replayed

@@ -210,6 +210,29 @@ let test_unfold_example4 () =
         (Jsl_rec.validates_by_unfolding v even_paths))
     docs
 
+(* $x = ◇($x) ∧ □($x) over a 20-deep array: each level mentions $x
+   twice, so an unfolding that copies the expansion at every occurrence
+   builds ~2^21 formula nodes.  Shared per (variable, height), it stays
+   linear in the height and must allocate under a small fixed bound. *)
+let test_unfold_shares_expansions () =
+  let x = Jsl.Var "x" in
+  let delta =
+    Jsl_rec.make_exn
+      ~defs:
+        [ ("x", Jsl.And (Jsl.Dia_range (0, None, x), Jsl.Box_range (0, None, x)))
+        ]
+      ~base:x
+  in
+  let rec nest k = if k = 0 then Value.Num 1 else Value.Arr [ nest (k - 1) ] in
+  let doc = nest 20 in
+  let before = Gc.minor_words () in
+  let got = Jsl_rec.validates_by_unfolding doc delta in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "agrees with bottom-up"
+    (Jsl_rec.validates doc delta) got;
+  if words > 200_000. then
+    Alcotest.failf "unfolding allocated %.0f minor words (bound 200000)" words
+
 let test_circuit_encoding () =
   (* (in0 ∧ ¬in1) ∨ in2 *)
   let c =
@@ -347,6 +370,8 @@ let () =
          Alcotest.test_case "Example 5 (complete binary)" `Quick test_example5;
          Alcotest.test_case "well-formedness" `Quick test_well_formedness;
          Alcotest.test_case "Example 4 (unfolding)" `Quick test_unfold_example4;
+         Alcotest.test_case "unfolding shares expansions" `Quick
+           test_unfold_shares_expansions;
          Alcotest.test_case "circuits (Prop 9)" `Quick test_circuit_encoding ]);
       ("automata",
        [ Alcotest.test_case "run profiles" `Quick test_run_profile ]);

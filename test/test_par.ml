@@ -225,6 +225,85 @@ let test_lazy_columns_deep () =
   Alcotest.(check bool) "equal across trees" true
     (Tree.equal_across tree Tree.root oracle Tree.root)
 
+(* ---- the stream automaton shared across domains ------------------------- *)
+
+module Plan = Jschema.Validate.Plan
+
+let catalog_texts n seed =
+  let rng = Jworkload.Prng.create seed in
+  Array.init n (fun i ->
+      let text = Jsont.Value.to_string (Jworkload.Catalog.catalog_doc rng) in
+      if i mod 9 = 4 then String.sub text 0 (String.length text / 3) else text)
+
+let stream_outcome plan text =
+  match Jsont.Parser.wrap (fun () -> Plan.run_stream plan text) with
+  | Ok ok -> Printf.sprintf "Ok %b" ok
+  | Error e -> "Error " ^ Format.asprintf "%a" Jsont.Parser.pp_error e
+
+(* Four domains stream through one cold plan at once, each in its own
+   order, racing to intern closures and publish edges: every verdict
+   and rendered error matches a sequential run and the tree route. *)
+let test_stream_automaton_shared () =
+  let schema = Jschema.Parse.of_string_exn Jworkload.Catalog.catalog_schema in
+  let texts = catalog_texts 200 17 in
+  let sequential = Array.map (stream_outcome (Plan.compile schema)) texts in
+  let tree_plan = Plan.compile schema in
+  let tree =
+    Array.map
+      (fun text ->
+        match Jsont.Tree.of_string text with
+        | Ok t -> Printf.sprintf "Ok %b" (Plan.run_tree tree_plan t)
+        | Error e -> "Error " ^ Format.asprintf "%a" Jsont.Parser.pp_error e)
+      texts
+  in
+  Alcotest.(check (array string)) "sequential stream = tree route" tree
+    sequential;
+  let shared = Plan.compile schema in
+  let started = Atomic.make 0 in
+  let lane l () =
+    Atomic.incr started;
+    while Atomic.get started < 4 do Domain.cpu_relax () done;
+    let n = Array.length texts in
+    let got = Array.make n "" in
+    for k = 0 to n - 1 do
+      let i = if l mod 2 = 0 then k else n - 1 - k in
+      got.(i) <- stream_outcome shared texts.(i)
+    done;
+    got
+  in
+  let domains = List.init 4 (fun l -> Domain.spawn (lane l)) in
+  List.iteri
+    (fun l d ->
+      Alcotest.(check (array string))
+        (Printf.sprintf "domain %d agrees with the sequential run" l)
+        sequential (Domain.join d))
+    domains
+
+(* Only the compare-and-set winner counts a closure or an edge, so a
+   cold plan run at any job count reports the same automaton totals. *)
+let test_stream_automaton_totals () =
+  Obs.Metrics.set_enabled true;
+  let schema = Jschema.Parse.of_string_exn Jworkload.Catalog.catalog_schema in
+  let texts = catalog_texts 300 23 in
+  let run jobs =
+    let plan = Plan.compile schema in
+    let reg = Obs.Metrics.create_registry () in
+    let out =
+      Obs.Metrics.with_registry reg (fun () ->
+          Par.Batch.map ~jobs (stream_outcome plan) texts)
+    in
+    let count name =
+      Obs.Metrics.with_registry reg (fun () -> Obs.Metrics.counter_value name)
+    in
+    (out, count "validate.stream.closures", count "validate.stream.edges")
+  in
+  let out1, closures1, edges1 = run 1 in
+  let out4, closures4, edges4 = run 4 in
+  Alcotest.(check (array string)) "results independent of jobs" out1 out4;
+  Alcotest.(check bool) "closures counted" true (closures1 > 0);
+  Alcotest.(check int) "closures independent of jobs" closures1 closures4;
+  Alcotest.(check int) "edges independent of jobs" edges1 edges4
+
 let () =
   Alcotest.run "par"
     [ ("pool",
@@ -242,4 +321,9 @@ let () =
       ("tree columns",
        [ Alcotest.test_case "4 domains, one tree" `Quick
            test_lazy_columns_shared;
-         Alcotest.test_case "100k-deep array" `Quick test_lazy_columns_deep ]) ]
+         Alcotest.test_case "100k-deep array" `Quick test_lazy_columns_deep ]);
+      ("stream automaton",
+       [ Alcotest.test_case "4 domains, one cold plan" `Quick
+           test_stream_automaton_shared;
+         Alcotest.test_case "totals independent of jobs" `Quick
+           test_stream_automaton_totals ]) ]

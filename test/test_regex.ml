@@ -271,6 +271,20 @@ let qcheck_tests =
       prop_witness_in_language;
       prop_star_unfold ]
 
+(* the plan executors call [Dfa.accepts] per key per pattern and per
+   string value: a call must not allocate *)
+let test_accepts_allocation () =
+  let d = Rexp.Dfa.of_syntax (syn "[a-z][a-z0-9_]*") in
+  let words = [| "alpha_12"; "Beta"; ""; "x"; "kilo_mega_zeta_99" |] in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    if Rexp.Dfa.accepts d words.(i mod Array.length words) then incr hits
+  done;
+  let words_allocated = Gc.minor_words () -. before in
+  Alcotest.(check int) "matches" 6_000 !hits;
+  Alcotest.(check (float 0.)) "minor words for 10k calls" 0. words_allocated
+
 let () =
   Alcotest.run "rexp"
     [ ("charset", [ Alcotest.test_case "basics" `Quick test_charset_basics ]);
@@ -284,5 +298,7 @@ let () =
        [ Alcotest.test_case "emptiness/universality" `Quick test_emptiness_universality;
          Alcotest.test_case "equivalence/subset" `Quick test_equiv_subset;
          Alcotest.test_case "witnesses" `Quick test_witnesses;
-         Alcotest.test_case "minimization" `Quick test_dfa_minimize ]);
+         Alcotest.test_case "minimization" `Quick test_dfa_minimize;
+         Alcotest.test_case "accepts allocates nothing" `Quick
+           test_accepts_allocation ]);
       ("properties", qcheck_tests) ]

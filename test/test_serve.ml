@@ -369,6 +369,27 @@ let test_serve_parallel_connections () =
       Alcotest.(check int) "every request hit the one plan" 100 hits;
       Alcotest.(check int) "one miss (registration)" 1 misses)
 
+(* --jobs N serves N connections at once: with jobs 2, one connection
+   stalled mid-body must not keep a second one from being answered *)
+let test_serve_jobs_lanes () =
+  with_server ~jobs:2 (fun srv ->
+      let id =
+        with_client srv (fun c ->
+            unwrap (Jserve.Client.put_schema c schema_text))
+      in
+      with_client srv (fun stalled ->
+          Jserve.Client.send_raw stalled
+            (Printf.sprintf "VALIDATE %s 100\n{\"a\":" id);
+          with_client srv (fun c ->
+              Unix.setsockopt_float (Jserve.Client.fd c) Unix.SO_RCVTIMEO 2.0;
+              match Jserve.Client.validate c ~schema_id:id {|{"a":1}|} with
+              | Ok v -> Alcotest.(check string) "answered" "valid" v
+              | Error m -> Alcotest.failf "unexpected ERR: %s" m
+              | exception e ->
+                Alcotest.failf
+                  "no answer within 2 s while another connection stalls (%s)"
+                  (Printexc.to_string e))))
+
 (* ---- fault injection ------------------------------------------------------- *)
 
 (* body shorter than declared, then EOF: no response owed, no leak *)
@@ -503,8 +524,8 @@ let test_fault_slowloris () =
 (* SHUTDOWN drains: a request in flight on another connection finishes
    before the daemon exits *)
 let test_shutdown_drains () =
-  (* 3 lanes = 2 connection workers: the blocked in-flight request
-     must not starve the connection carrying the SHUTDOWN *)
+  (* 3 connection workers: the blocked in-flight request must not
+     starve the connection carrying the SHUTDOWN *)
   with_server ~jobs:3 (fun srv ->
       let id =
         with_client srv (fun c ->
@@ -584,6 +605,8 @@ let () =
           Alcotest.test_case "cli agreement" `Quick test_serve_cli_agreement;
           Alcotest.test_case "parallel connections" `Quick
             test_serve_parallel_connections;
+          Alcotest.test_case "jobs N serves N connections" `Quick
+            test_serve_jobs_lanes;
           Alcotest.test_case "indexq end-to-end" `Quick test_indexq_end_to_end;
           Alcotest.test_case "indexq faults" `Quick test_indexq_faults;
           Alcotest.test_case "counters folded" `Quick test_counters_folded ] );

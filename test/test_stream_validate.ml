@@ -442,6 +442,133 @@ let test_feed_fuel_identity () =
       Alcotest.failf "fuel %d: chunked and one-shot outcomes differ" fuel
   done
 
+(* ------------------------------------------------------------------ *)
+(* The plan's closure automaton: cold and warm plans, bounded memo     *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact fuel a run draws: the least budget it completes under. *)
+let fuel_drawn plan text =
+  let completes fuel =
+    match
+      Parser.wrap (fun () ->
+          Plan.run_stream ~budget:(Obs.Budget.create ~fuel ()) plan text)
+    with
+    | Ok _ -> true
+    | Error _ | (exception Obs.Budget.Exhausted _) -> false
+  in
+  let rec search lo hi =
+    (* [lo] fails, [hi] completes *)
+    if hi - lo <= 1 then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if completes mid then search lo mid else search mid hi
+  in
+  let rec upper hi = if completes hi then hi else upper (2 * hi) in
+  search 0 (upper 64)
+
+(* a spilled subtree's [run_tree] reports exhaustion directly *)
+let outcome ?budget plan text =
+  match Parser.wrap (fun () -> Plan.run_stream ?budget plan text) with
+  | Ok ok -> Printf.sprintf "Ok %b" ok
+  | Error e -> "Error " ^ render e
+  | exception Obs.Budget.Exhausted r -> "Exhausted " ^ Obs.Budget.describe r
+
+(* The automaton is a cache: a plan that has streamed every earlier
+   document must decide each document exactly as a freshly compiled one
+   does — verdicts, rendered errors and fuel. *)
+let test_cold_warm_agree () =
+  let check schema_text texts =
+    let schema = Jschema.Parse.of_string_exn schema_text in
+    let warm = Plan.compile schema in
+    List.iteri
+      (fun i text ->
+        let cold () = Plan.compile schema in
+        let w = outcome warm text and c = outcome (cold ()) text in
+        if w <> c then
+          Alcotest.failf "doc %d: warm %s <> cold %s on %s" i w c text;
+        if i mod 10 = 0 && String.starts_with ~prefix:"Ok" w then begin
+          (* the exact draw, checked at the boundary on a cold plan *)
+          let fuel = fuel_drawn warm text in
+          let at plan f =
+            outcome ~budget:(Obs.Budget.create ~fuel:f ()) plan text
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "doc %d: cold at the warm draw" i)
+            w
+            (at (cold ()) fuel);
+          Alcotest.(check string)
+            (Printf.sprintf "doc %d: cold one unit short" i)
+            (at warm (fuel - 1))
+            (at (cold ()) (fuel - 1))
+        end)
+      texts
+  in
+  let rng = Jworkload.Prng.create 4242 in
+  let corpus =
+    List.init 1000 (fun i ->
+        let text = Value.to_string (Jworkload.Catalog.catalog_doc rng) in
+        (* every seventh document malformed: cut short, or a key doubled *)
+        if i mod 7 = 3 then String.sub text 0 (String.length text / 2)
+        else if i mod 7 = 5 then
+          {|{"f00":1,"f00":2,|} ^ String.sub text 1 (String.length text - 1)
+        else text)
+  in
+  check Jworkload.Catalog.catalog_schema corpus;
+  List.iter
+    (fun (_, schema_text, cases) -> check schema_text (List.map fst cases))
+    Jworkload.Catalog.keyword_cases
+
+let test_warm_plan_builds_nothing () =
+  let plan = plan_of Jworkload.Catalog.catalog_schema in
+  let rng = Jworkload.Prng.create 8 in
+  let doc () = Value.to_string (Jworkload.Catalog.catalog_doc rng) in
+  with_metrics (fun () ->
+      ignore (Plan.run_stream plan (doc ()));
+      let closures = Obs.Metrics.counter_value "validate.stream.closures" in
+      Alcotest.(check bool) "the first document builds closures" true
+        (closures > 0);
+      ignore (Plan.run_stream plan (doc ()));
+      Alcotest.(check int) "a second document builds no closure" closures
+        (Obs.Metrics.counter_value "validate.stream.closures"))
+
+(* 100k distinct keys no [properties] entry names, matched by two
+   [patternProperties] regexes in all four combinations.  Member edges
+   are keyed by (named key, pattern mask): the root closure names no
+   key and has two patterns, so at most 2^2 member edges exist, however
+   many keys the object carries; the child closures are scalars and
+   build none. *)
+let test_key_flood_bounded () =
+  let plan =
+    plan_of
+      {|{"type":"object",
+         "patternProperties":{"a[a-z0-9]*":{"type":"number"},
+                              "[a-z0-9]*b":{"type":"number","minimum":1}},
+         "additionalProperties":{"type":"number"}}|}
+  in
+  let b = Buffer.create (16 * 100_000) in
+  Buffer.add_char b '{';
+  for i = 0 to 99_999 do
+    if i > 0 then Buffer.add_char b ',';
+    let key =
+      match i mod 4 with
+      | 0 -> Printf.sprintf "a%d" i
+      | 1 -> Printf.sprintf "%db" i
+      | 2 -> Printf.sprintf "a%db" i
+      | _ -> Printf.sprintf "k%d" i
+    in
+    Printf.bprintf b {|"%s":%d|} key (1 + (i mod 5))
+  done;
+  Buffer.add_char b '}';
+  let text = Buffer.contents b in
+  with_metrics (fun () ->
+      check_agree plan text;
+      Alcotest.(check bool) "the flood validates" true
+        (Plan.run_stream plan text);
+      let edges = Obs.Metrics.counter_value "validate.stream.edges" in
+      if edges > 4 then
+        Alcotest.failf "%d member edges for 4 (named key, pattern mask) pairs"
+          edges)
+
 let () =
   Alcotest.run "stream_validate"
     [ ("agreement",
@@ -471,4 +598,10 @@ let () =
            test_feed_fuel_identity ]);
       ("ndjson",
        [ Alcotest.test_case "line-fault folding" `Quick
-           test_ndjson_fault_folding ]) ]
+           test_ndjson_fault_folding ]);
+      ("automaton",
+       [ Alcotest.test_case "cold plan = warm plan" `Quick test_cold_warm_agree;
+         Alcotest.test_case "warm plan builds nothing" `Quick
+           test_warm_plan_builds_nothing;
+         Alcotest.test_case "key flood, bounded edges" `Quick
+           test_key_flood_bounded ]) ]

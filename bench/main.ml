@@ -1272,8 +1272,9 @@ let validate_exp () =
     all_agree := false
   end;
 
-  (* (c) the same treatment for JSL: interpreted eval vs compiled plan *)
-  row "\nJSL: set-at-a-time eval vs compiled plan (16k-node document):\n";
+  (* (c) JSL through Theorem 1: set-at-a-time eval vs the formula
+     compiled into a schema plan and run over the same tree *)
+  row "\nJSL: set-at-a-time eval vs Plan.of_jsl + run_tree (16k-node document):\n";
   let frng = Jworkload.Prng.create 99 in
   let cfg =
     { Jworkload.Gen_formula.default with
@@ -1283,30 +1284,28 @@ let validate_exp () =
   in
   let f = Jworkload.Gen_formula.jsl frng cfg in
   let tree = Tree.of_value (Jworkload.Gen_json.sized frng 16_000) in
-  let jsl_plan = Jsl.compile f in
-  let sat_i = Jsl.eval (Jsl.context tree) f in
-  let sat_p = Jsl.eval_plan (Jsl.context tree) jsl_plan in
-  if not (Bitset.equal sat_i sat_p) then all_agree := false;
+  let jsl_plan = Jschema.Validate.Plan.of_jsl f in
+  let by_eval = Bitset.mem (Jsl.eval (Jsl.context tree) f) Tree.root in
+  let by_plan = Jschema.Validate.Plan.run_tree jsl_plan tree in
+  if by_eval <> by_plan then all_agree := false;
+  row "root verdict: eval %b, plan %b\n" by_eval by_plan;
   let ns_eval =
     measure_ns ~name:"bench.validate.jsl_interp" (fun () ->
         ignore (Jsl.eval (Jsl.context tree) f))
   in
-  let ns_eplan =
+  let ns_run =
     measure_ns ~name:"bench.validate.jsl_plan" (fun () ->
-        ignore (Jsl.eval_plan (Jsl.context tree) jsl_plan))
+        ignore (Jschema.Validate.Plan.run_tree jsl_plan tree))
   in
   let ns_compile =
     measure_ns ~name:"bench.validate.jsl_compile" (fun () ->
-        ignore (Jsl.compile f))
+        ignore (Jschema.Validate.Plan.of_jsl f))
   in
-  row "formula size %d -> %d plan nodes\n" (Jsl.size f) (Jsl.plan_size jsl_plan);
+  row "formula size %d -> %d plan nodes\n" (Jsl.size f)
+    (Jschema.Validate.Plan.node_count jsl_plan);
   row "%-36s %12.0f ns/eval\n" "interpreted eval (fresh ctx)" ns_eval;
-  row "%-36s %12.0f ns/eval\n" "compiled eval_plan (fresh ctx)" ns_eplan;
-  row "%-36s %12.0f ns\n" "one-time compile" ns_compile;
-  if ns_eval > ns_eplan then
-    row "crossover: compile amortized after %.1f evaluations\n"
-      (ns_compile /. (ns_eval -. ns_eplan))
-  else row "crossover: interpreted eval is not slower on this formula\n";
+  row "%-36s %12.0f ns/eval\n" "compiled plan run_tree (root)" ns_run;
+  row "%-36s %12.0f ns\n" "one-time Plan.of_jsl" ns_compile;
 
   row "\nvalidate agreement: %s\n" (if !all_agree then "COMPLETE" else "BROKEN");
   if not !all_agree then exit 1

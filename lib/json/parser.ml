@@ -64,7 +64,44 @@ let guard ?(units = 1) budget pos depth =
     fail pos "maximum nesting depth %d exceeded" (Obs.Budget.max_depth budget)
   | exception Obs.Budget.Exhausted r -> fail pos "%s" (Obs.Budget.describe r)
 
+module Keys = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = String.hash
+end)
+
+(* duplicate-key sets for a scan's open objects, one per nesting level:
+   sibling objects reuse their level's set instead of allocating one *)
+type key_sets = { mutable sets : unit Keys.t array; mutable level : int }
+
+let no_keys : unit Keys.t = Keys.create 1
+let key_sets () = { sets = [||]; level = 0 }
+
+let open_object ks =
+  let level = ks.level in
+  ks.level <- level + 1;
+  if level >= Array.length ks.sets then begin
+    let grown = Array.make (2 * level + 2) no_keys in
+    Array.blit ks.sets 0 grown 0 level;
+    ks.sets <- grown
+  end;
+  let seen = ks.sets.(level) in
+  if seen == no_keys then begin
+    let seen = Keys.create 16 in
+    ks.sets.(level) <- seen;
+    seen
+  end
+  else begin
+    (* clearing costs the bucket array: shrink one a wide object grew *)
+    if Keys.length seen > 64 then Keys.reset seen else Keys.clear seen;
+    seen
+  end
+
+let close_object ks = ks.level <- ks.level - 1
+
 let parse_value mode budget lx =
+  let keys = key_sets () in
   let rec value depth =
     let pos, _ = Lexer.peek lx in
     guard budget pos depth;
@@ -79,19 +116,19 @@ let parse_value mode budget lx =
     | Lexer.Rbrace | Lexer.Rbracket | Lexer.Colon | Lexer.Comma | Lexer.Eof ->
       unexpected pos tok "a JSON value"
   and obj depth open_pos =
-    let rec members acc =
+    let rec members seen acc =
       let pos, tok = Lexer.next lx in
       match tok with
       | Lexer.String key ->
-        if List.mem_assoc key acc then
-          fail pos "duplicate object key %S" key;
+        if Keys.mem seen key then fail pos "duplicate object key %S" key;
+        Keys.add seen key ();
         let pos, tok = Lexer.next lx in
         if tok <> Lexer.Colon then unexpected pos tok "':'";
         let v = value (depth + 1) in
         let acc = (key, v) :: acc in
         let pos, tok = Lexer.next lx in
         (match tok with
-        | Lexer.Comma -> members acc
+        | Lexer.Comma -> members seen acc
         | Lexer.Rbrace -> Value.Obj (List.rev acc)
         | _ -> unexpected pos tok "',' or '}'")
       | _ -> unexpected pos tok "a string key"
@@ -103,7 +140,9 @@ let parse_value mode budget lx =
     end
     else begin
       ignore open_pos;
-      members []
+      let v = members (open_object keys) [] in
+      close_object keys;
+      v
     end
   and array depth open_pos =
     let rec elements acc =
@@ -136,48 +175,49 @@ let parse_value mode budget lx =
    input, which is what lets the streaming validator fast-forward over
    unconstrained subtrees without weakening any check. *)
 let skip_value ?(units = 1) mode budget lx depth =
+  let keys = key_sets () in
   let rec value depth =
     let pos, tok = Lexer.next_skip lx in
     guard ~units budget pos depth;
     match tok with
     | Lexer.Lbrace -> obj depth
     | Lexer.Lbracket -> arr depth
-    | Lexer.String _ | Lexer.Nat _ | Lexer.Neg_int _ | Lexer.Float _
-    | Lexer.True | Lexer.False | Lexer.Null ->
+    | Lexer.String _ | Lexer.Nat _ -> ()  (* admitted in every mode *)
+    | Lexer.Neg_int _ | Lexer.Float _ | Lexer.True | Lexer.False | Lexer.Null ->
       ignore (literal_atom mode pos tok)
     | Lexer.Rbrace | Lexer.Rbracket | Lexer.Colon | Lexer.Comma | Lexer.Eof ->
       unexpected pos tok "a JSON value"
   and obj depth =
-    let seen = Hashtbl.create 8 in
-    let rec members () =
-      let pos, tok = Lexer.next lx in
-      match tok with
-      | Lexer.String key ->
-        if Hashtbl.mem seen key then fail pos "duplicate object key %S" key;
-        Hashtbl.add seen key ();
-        let pos, tok = Lexer.next lx in
-        if tok <> Lexer.Colon then unexpected pos tok "':'";
-        value (depth + 1);
-        let pos, tok = Lexer.next lx in
-        (match tok with
-        | Lexer.Comma -> members ()
-        | Lexer.Rbrace -> ()
-        | _ -> unexpected pos tok "',' or '}'")
-      | _ -> unexpected pos tok "a string key"
-    in
-    let _, tok = Lexer.peek lx in
-    if tok = Lexer.Rbrace then ignore (Lexer.next lx) else members ()
-  and arr depth =
-    let rec elements () =
+    match Lexer.peek lx with
+    | _, Lexer.Rbrace -> ignore (Lexer.next lx)
+    | _ ->
+      members (open_object keys) depth;
+      close_object keys
+  and members seen depth =
+    let pos, tok = Lexer.next lx in
+    match tok with
+    | Lexer.String key -> (
+      if Keys.mem seen key then fail pos "duplicate object key %S" key;
+      Keys.add seen key ();
+      (match Lexer.next lx with
+      | _, Lexer.Colon -> ()
+      | pos, tok -> unexpected pos tok "':'");
       value (depth + 1);
-      let pos, tok = Lexer.next lx in
-      match tok with
-      | Lexer.Comma -> elements ()
-      | Lexer.Rbracket -> ()
-      | _ -> unexpected pos tok "',' or ']'"
-    in
-    let _, tok = Lexer.peek lx in
-    if tok = Lexer.Rbracket then ignore (Lexer.next lx) else elements ()
+      match Lexer.next lx with
+      | _, Lexer.Comma -> members seen depth
+      | _, Lexer.Rbrace -> ()
+      | pos, tok -> unexpected pos tok "',' or '}'")
+    | _ -> unexpected pos tok "a string key"
+  and arr depth =
+    match Lexer.peek lx with
+    | _, Lexer.Rbracket -> ignore (Lexer.next lx)
+    | _ -> elements depth
+  and elements depth =
+    value (depth + 1);
+    match Lexer.next lx with
+    | _, Lexer.Comma -> elements depth
+    | _, Lexer.Rbracket -> ()
+    | pos, tok -> unexpected pos tok "',' or ']'"
   in
   value depth
 

@@ -78,6 +78,16 @@ val guard : ?units:int -> Obs.Budget.t -> Lexer.position -> int -> unit
     [units] units of fuel (default [1]) — with exhaustion reported as a
     positioned parse error. *)
 
+module Keys : Hashtbl.S with type key = string
+
+type key_sets
+(** Duplicate-key sets for one scan's open objects: one set per
+    nesting level, emptied and reused by sibling objects. *)
+
+val key_sets : unit -> key_sets
+val open_object : key_sets -> unit Keys.t
+val close_object : key_sets -> unit
+
 val skip_value :
   ?units:int -> [ `Strict | `Lenient ] -> Obs.Budget.t -> Lexer.t -> int
   -> unit

@@ -7,7 +7,8 @@
       {"$sort": {"n": 0}}, {"$limit": 10}]].
 
     Supported stages: [$match] (the {!Mongo} find-filter language,
-    compiled to a JSL plan and evaluated over each document's tree),
+    translated to JSL, compiled by Theorem 1 into a
+    {!Jschema.Validate.Plan} and run over each document's tree),
     [$project] (inclusion / exclusion flags plus computed fields from
     ["$a.b"] paths, [{"$literal": v}] and literal documents),
     [$unwind] (with [preserveNullAndEmptyArrays]), [$group]

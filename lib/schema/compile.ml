@@ -48,12 +48,7 @@ type node = {
    over the token stream" below).  A state is the same-node closure of a
    requested plan-id set; its transitions are memoized member/element
    edges. *)
-module Keys = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash = String.hash
-end)
+module Keys = Parser.Keys
 
 module Id_sets = Map.Make (struct
   type t = int list  (* ascending, distinct *)
@@ -759,36 +754,11 @@ type stream_state = {
   s_budget : Obs.Budget.t;
   s_mode : [ `Strict | `Lenient ];
   s_lx : Lexer.t;
-  mutable s_seen : unit Keys.t array;
-    (* duplicate-key sets, one per open object, reused across objects *)
-  mutable s_level : int;  (* open objects *)
+  s_keys : Parser.key_sets;  (* duplicate-key sets of the open objects *)
   mutable s_values : int;  (* values decided in the stream, not skipped *)
   mutable s_live : int;  (* closure ids summed over the open frames *)
   mutable s_peak : int;  (* high-water mark of [s_live] *)
 }
-
-let no_keys : unit Keys.t = Keys.create 1
-
-(* the duplicate-key set of a newly opened object *)
-let open_object st =
-  let level = st.s_level in
-  st.s_level <- level + 1;
-  if level >= Array.length st.s_seen then begin
-    let grown = Array.make (2 * level + 2) no_keys in
-    Array.blit st.s_seen 0 grown 0 level;
-    st.s_seen <- grown
-  end;
-  let seen = st.s_seen.(level) in
-  if seen == no_keys then begin
-    let seen = Keys.create 16 in
-    st.s_seen.(level) <- seen;
-    seen
-  end
-  else begin
-    (* clearing costs the bucket array: shrink one a wide object grew *)
-    if Keys.length seen > 64 then Keys.reset seen else Keys.clear seen;
-    seen
-  end
 
 (* One streamed value against closure [c].  Returns one verdict per
    closure slot (a spill fills just the requested slots, which is all a
@@ -886,7 +856,7 @@ and stream_member st p c depth v counts key =
 
 and stream_obj st p c depth v =
   let lx = st.s_lx in
-  let seen = open_object st in
+  let seen = Parser.open_object st.s_keys in
   let counts = if c.c_requires then Array.make (Array.length v) 0 else [||] in
   let arity = ref 0 in
   (match Lexer.peek lx with
@@ -911,7 +881,7 @@ and stream_obj st p c depth v =
         | pos, tok -> Parser.unexpected pos tok "',' or '}'")
       | _ -> Parser.unexpected pos tok "a string key"
     done);
-  st.s_level <- st.s_level - 1;
+  Parser.close_object st.s_keys;
   for s = 0 to Array.length v - 1 do
     let nd = p.nodes.(c.c_ids.(s)) in
     v.(s) <-
@@ -971,8 +941,7 @@ let stream_run budget mode p lx =
     { s_budget = budget;
       s_mode = mode;
       s_lx = lx;
-      s_seen = [||];
-      s_level = 0;
+      s_keys = Parser.key_sets ();
       s_values = 0;
       s_live = 0;
       s_peak = 0 }
@@ -995,4 +964,4 @@ let run_stream_stats p input =
 
 (* ---- deterministic JSL (the §6 conjecture) ------------------------------- *)
 
-let of_jsl f = compile (Schema.plain (Of_jsl.schema (Jlogic.Jsl.expand_eq f)))
+let of_jsl f = compile (Schema.plain (Of_jsl.schema f))

@@ -141,23 +141,23 @@ val run_stream_stats : t -> string -> bool * stream_stats
     that also reports how much work and how many live obligations the
     run took.  Same verdicts, errors and fuel. *)
 
-(** {1 Deterministic JSL (the §6 conjecture)}
+(** {1 JSL through Theorem 1}
 
     The paper conjectures that deterministic JNL/JSL can be evaluated
     over a stream "with constant memory requirements when tree
     equality is excluded".  For closed JSL formulas that are
     {!Jlogic.Jsl.is_deterministic} after {!Jlogic.Jsl.expand_eq} and do
-    not use [Unique], [run_stream (of_jsl ϕ)] skips every subtree the
-    formula does not address and never spills, so [peak_obligations]
-    is bounded by the plan size times one plus the modal depth,
-    whatever the document.  Ranges and regular key expressions stream
-    the same way; only [Unique] spills its array into a tree. *)
+    not use [Unique], [run_stream (of_jsl (Jsl.expand_eq ϕ))] skips
+    every subtree the formula does not address and never spills, so
+    [peak_obligations] is bounded by the plan size times one plus the
+    modal depth, whatever the document.  Ranges and regular key
+    expressions stream the same way; only [Unique] spills its array
+    into a tree. *)
 
 val of_jsl : Jlogic.Jsl.t -> t
-(** [of_jsl ϕ] compiles [ϕ] through {!Jlogic.Jsl.expand_eq} and the
-    Theorem 1 translation {!Of_jsl.schema}:
-    [run_stream (of_jsl ϕ) (Value.to_string v) = Jsl.validates v ϕ].
-    A single index [i] costs a plan linear in [i], so a [~(A)] test on
-    an [n]-element array constant, which expands to one index test per
-    element, costs a plan of size and compile time O(n²).
+(** [of_jsl ϕ] compiles [ϕ] through the Theorem 1 translation
+    {!Of_jsl.schema}: [run (of_jsl ϕ) v = Jsl.validates v ϕ], and so
+    does {!run_stream}.  A [~(A)] test is a one-value [enum] decided by
+    subtree hash; streamed, it spills a container [A]'s subtree, which
+    {!Jlogic.Jsl.expand_eq} avoids at its cost in plan size.
     @raise Invalid_argument on free recursion symbols. *)

@@ -818,6 +818,35 @@ if [ "$ag_direct" != "$ag_jnl" ] || [ -z "$ag_direct" ]; then
   printf '%s\n---\n%s\n' "$ag_direct" "$ag_jnl" | head -20 >&2
   exit 1
 fi
+# ... and on a second navigational pipeline whose $match compares
+# fields with array and object constants: the direct engine decides
+# each as a one-value enum by subtree hash, the JNL route as Eq_doc.
+nav_pl2='[{"$match": {"$or": [{"orders.1": {"$in": [{"total": 12}, {"total": 60}]}},
+                             {"orders.0": {"status": "shipped", "total": 30}},
+                             {"orders": {"$eq": [{"status": "shipped", "total": 45}, {"total": 90}]}}],
+                      "orders": {"$ne": []}}},
+          {"$project": {"orders": 1, "age": 1}}]'
+ag_direct=$(timeout 120 "$JSONLOGIC" aggregate "$nav_pl2" "$agnd")
+ag_jnl=$(timeout 120 "$JSONLOGIC" aggregate --via-jnl "$nav_pl2" "$agnd")
+if [ "$ag_direct" != "$ag_jnl" ] || [ "$(printf '%s\n' "$ag_direct" | wc -l)" -ne 3 ]; then
+  echo "FAIL: aggregate and aggregate --via-jnl disagree on constant equality" >&2
+  printf '%s\n---\n%s\n' "$ag_direct" "$ag_jnl" | head -20 >&2
+  exit 1
+fi
+# $size, $all and $elemMatch test the array kind, which is outside
+# Theorem 2's JSL fragment, so --via-jnl refuses them; a one-stage
+# $match must instead print exactly what `find` (the JSL interpreter)
+# prints for the same filter.
+ag_filter='{"$and": [{"orders": {"$size": 2}},
+                     {"orders": {"$elemMatch": {"total": {"$gte": 40}}}},
+                     {"$nor": [{"orders": {"$all": [{"total": 42}, {"status": "shipped", "total": 21}]}}]}]}'
+ag_direct=$(timeout 120 "$JSONLOGIC" aggregate "[{\"\$match\": $ag_filter}]" "$agnd")
+ag_find=$(timeout 120 "$JSONLOGIC" find "$ag_filter" "$agnd")
+if [ "$ag_direct" != "$ag_find" ] || [ "$(printf '%s\n' "$ag_direct" | wc -l)" -ne 13 ]; then
+  echo "FAIL: aggregate \$match and find disagree on \$size/\$all/\$elemMatch" >&2
+  printf '%s\n---\n%s\n' "$ag_direct" "$ag_find" | head -20 >&2
+  exit 1
+fi
 # a non-navigational pipeline is refused by --via-jnl (exit 1), not crashed
 agstatus=0
 timeout 60 "$JSONLOGIC" aggregate --via-jnl \

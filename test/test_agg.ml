@@ -199,8 +199,8 @@ let test_sharding () =
 
 (* ---- the pipeline differential -------------------------------------------- *)
 
-(* Navigational pipelines evaluated by the direct engine (JSL plans +
-   value rewriting) and the pure-JNL route (Theorem 2 + post-image
+(* Navigational pipelines evaluated by the direct engine (schema plans
+   compiled from JSL + value rewriting) and the pure-JNL route (Theorem 2 + post-image
    marking sets + Tree.substitute) must agree byte for byte. *)
 
 let nav_pipelines =

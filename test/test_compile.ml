@@ -1,7 +1,7 @@
 (* Differential suite for the compiled validation plans: the compiled
    schema executor (over values and over trees) against the structural
-   interpreter, and the compiled JSL plan against set-at-a-time [eval] —
-   on the Table 1 keyword cases, the property-heavy catalog, random
+   interpreter, and the Theorem 1 compilation of JSL against [Jsl.holds]
+   — on the Table 1 keyword cases, the property-heavy catalog, random
    [gen_formula]-derived schemas, the $ref-sharing family, and under
    fuel/depth budgets. *)
 
@@ -103,16 +103,37 @@ let test_fuzz_differential () =
     check_agree
       ~what:(Printf.sprintf "fuzz case %d (doc %s)" case (Value.to_string doc))
       schema doc None;
-    (* the JSL plan agrees with set-at-a-time eval on the same formula *)
+    (* the compiled schema decides the formula it was translated from *)
     let tree = Tree.of_value doc in
-    let ctx = Jsl.context tree in
-    let sat = Jsl.eval ctx f in
-    let ctx' = Jsl.context tree in
-    let sat' = Jsl.eval_plan ctx' (Jsl.compile f) in
-    if not (Jlogic.Bitset.equal sat sat') then
-      Alcotest.failf "case %d: eval and eval_plan sets differ for %s" case
-        (Jsl.to_string f)
+    let by_plan = Validate.Plan.run_tree (Validate.Plan.compile schema) tree in
+    let by_jsl = Jsl.holds (Jsl.context tree) Tree.root f in
+    if by_plan <> by_jsl then
+      Alcotest.failf "case %d: run_tree %b but Jsl.holds %b for %s" case
+        by_plan by_jsl (Jsl.to_string f)
   done
+
+(* [~(A)] compiles to a one-value [enum], decided by subtree hash: the
+   plan does not grow with the constant (expanding it into per-index
+   equalities made the plan quadratic in the array's length) *)
+let test_eq_doc_plan_size () =
+  let nodes n =
+    let arr = Value.Arr (List.init n (fun i -> Value.Num i)) in
+    Obs.Metrics.set_enabled true;
+    Obs.Metrics.reset ();
+    let plan =
+      Validate.Plan.of_jsl (Jsl.dia_key "tags" (Jsl.Test (Jsl.Eq_doc arr)))
+    in
+    let count = Obs.Metrics.counter_value "validate.plan.nodes" in
+    Obs.Metrics.set_enabled false;
+    let doc k = Value.Obj [ ("tags", Value.Arr (List.init k (fun i -> Value.Num i))) ] in
+    Alcotest.(check bool) "equal array passes" true
+      (Validate.Plan.run plan (doc n));
+    Alcotest.(check bool) "shorter array fails" false
+      (Validate.Plan.run plan (doc (n - 1)));
+    count
+  in
+  let small = nodes 3 in
+  Alcotest.(check int) "1000-element constant, same plan size" small (nodes 1000)
 
 (* ---- $ref sharing and reference cycles ----------------------------------- *)
 
@@ -268,46 +289,6 @@ let test_budget_agreement () =
     "compiled hits depth ceiling" true
     (hits_ceiling (fun budget -> Validate.Plan.run ~budget spine_plan deep))
 
-(* exact fuel parity for the JSL plan: compile+eval_plan draws the same
-   fuel as eval (both burn node_count per distinct subformula) *)
-let test_jsl_fuel_parity () =
-  let cfg =
-    { Jworkload.Gen_formula.default with size = 14; allow_nondet = true }
-  in
-  for case = 0 to 99 do
-    let rng = Prng.create (0xF0E1 + case) in
-    let f = Jworkload.Gen_formula.jsl rng cfg in
-    let doc = Jworkload.Gen_json.sized rng 25 in
-    let tree = Tree.of_value doc in
-    let spend eval_f =
-      (* smallest fuel that completes, by doubling then bisection *)
-      let completes fuel =
-        match eval_f (Obs.Budget.create ~fuel ()) with
-        | (_ : Jlogic.Bitset.t) -> true
-        | exception Obs.Budget.Exhausted Obs.Budget.Fuel -> false
-      in
-      let rec upper f = if completes f then f else upper (2 * f) in
-      let hi = upper 1 in
-      let rec bisect lo hi =
-        if hi - lo <= 1 then hi
-        else
-          let mid = (lo + hi) / 2 in
-          if completes mid then bisect lo mid else bisect mid hi
-      in
-      if completes 1 then 1 else bisect 1 hi
-    in
-    let interp_spend =
-      spend (fun budget -> Jsl.eval (Jsl.context ~budget tree) f)
-    in
-    let plan = Jsl.compile f in
-    let plan_spend =
-      spend (fun budget -> Jsl.eval_plan (Jsl.context ~budget tree) plan)
-    in
-    if interp_spend <> plan_spend then
-      Alcotest.failf "case %d: fuel parity broken (%d vs %d) for %s" case
-        interp_spend plan_spend (Jsl.to_string f)
-  done
-
 let () =
   Alcotest.run "compile"
     [ ("keyword-cases", [ Alcotest.test_case "table1" `Quick test_keyword_cases ]);
@@ -315,7 +296,8 @@ let () =
        [ Alcotest.test_case "catalog differential" `Quick
            test_catalog_differential ]);
       ("differential",
-       [ Alcotest.test_case "fuzz schema+jsl" `Quick test_fuzz_differential ]);
+       [ Alcotest.test_case "fuzz schema+jsl" `Quick test_fuzz_differential;
+         Alcotest.test_case "~(A) plan size" `Quick test_eq_doc_plan_size ]);
       ("ref-sharing",
        [ Alcotest.test_case "asymptotic sharing" `Quick test_ref_sharing;
          Alcotest.test_case "cyclic $ref regression" `Quick
@@ -324,5 +306,5 @@ let () =
       ("well-formed",
        [ Alcotest.test_case "multipleOf 0 / dup defs" `Quick test_well_formed ]);
       ("budget",
-       [ Alcotest.test_case "fuel/depth agreement" `Quick test_budget_agreement;
-         Alcotest.test_case "jsl fuel parity" `Quick test_jsl_fuel_parity ]) ]
+       [ Alcotest.test_case "fuel/depth agreement" `Quick test_budget_agreement ])
+    ]

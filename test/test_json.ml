@@ -849,6 +849,12 @@ let test_direct_error_agreement () =
       (* escape-equal keys are one key *)
       {|{"a":1,"\u0061":2}|}; {|{"\u00e9":1,"é":2}|}; {|{"a\/b":1,"a/b":2}|};
       {|[{"k":{"a":1,"a":2}}]|} ]
+    (* a sibling reuses the key set a 70-member object grew *)
+    @ List.map
+        (fun next ->
+          let wide = List.init 70 (fun i -> Printf.sprintf {|"k%d":%d|} i i) in
+          Printf.sprintf "[{%s},%s]" (String.concat "," wide) next)
+        [ {|{"k1":0,"k1":1}|}; {|{"k1":0,"k2":1}|} ]
     @ duplicate_key_cases
   in
   List.iter

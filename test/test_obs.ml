@@ -189,7 +189,8 @@ let streamable f =
   Jsl.is_deterministic f && (not (Jsl.uses_unique f)) && Jsl.free_vars f = []
 
 let stream ?budget text f =
-  match Parser.wrap (fun () -> Plan.run_stream ?budget (Plan.of_jsl f) text) with
+  let plan = Plan.of_jsl (Jsl.expand_eq f) in
+  match Parser.wrap (fun () -> Plan.run_stream ?budget plan text) with
   | Ok b -> Ok b
   | Error e -> Error (Format.asprintf "%a" Parser.pp_error e)
 
@@ -369,7 +370,25 @@ let test_skip_rejects_duplicate_keys () =
   Alcotest.(check bool) ("mentions the key: " ^ m) true (contains {|"d"|} m);
   check_skip_eval_error_parity ~msg:"duplicate key" text
     (Jsl.dia_key "a" (Jsl.Test Jsl.Is_int))
-    (Jsl.dia_key "x" (Jsl.Test Jsl.Is_obj))
+    (Jsl.dia_key "x" (Jsl.Test Jsl.Is_obj));
+  (* the skipper reuses one key set per nesting level: siblings must
+     not see each other's keys, nor an inner object its parent's *)
+  let a_int = Jsl.dia_key "a" (Jsl.Test Jsl.Is_int) in
+  (match stream {|{"x":[{"d":1},{"d":2,"e":{"d":3}}],"a":1}|} a_int with
+  | Ok true -> ()
+  | Ok false -> Alcotest.fail "sibling key sets: wrong verdict"
+  | Error m -> Alcotest.failf "sibling objects sharing keys rejected: %s" m);
+  let wide =
+    String.concat "," (List.init 100 (fun i -> Printf.sprintf {|"k%d":%d|} i i))
+  in
+  List.iter
+    (fun (text, key) ->
+      let m = stream_error text a_int in
+      Alcotest.(check bool) ("mentions the key: " ^ m) true (contains key m);
+      check_skip_eval_error_parity ~msg:("duplicate " ^ key) text a_int
+        (Jsl.dia_key "x" (Jsl.Test Jsl.Is_obj)))
+    [ ({|{"x":{"p":{"d":1},"q":{"d":2},"p":3},"a":1}|}, {|"p"|});
+      (Printf.sprintf {|{"x":{"w":[{%s},{"k1":0,"k1":1}]},"a":1}|} wide, {|"k1"|}) ]
 
 let test_skip_checks_depth () =
   (* pre-fix, nesting inside skipped subtrees never met the depth

@@ -217,8 +217,9 @@ let test_in_regex_and_type_codes () =
 
 let test_translation_differential () =
   (* [matches] must agree with the JSL translation on every document,
-     and — where the filter reaches the pure-JNL fragment of Theorem 2
-     — with the JNL translation as well *)
+     with a one-stage [$match] pipeline (the translation compiled into
+     a schema plan), and — where the filter reaches the pure-JNL
+     fragment of Theorem 2 — with the JNL translation as well *)
   let filters =
     [ {|{"age": {"$lt": 0}}|}; {|{"age": {"$lt": 28}}|};
       {|{"age": {"$gt": 5}}|}; {|{"age": {"$gte": 0}}|};
@@ -266,6 +267,9 @@ let test_translation_differential () =
       let jnl =
         match Jquery.Mongo.to_jnl f with Ok jnl -> Some jnl | Error _ -> None
       in
+      let stage =
+        Jquery.Mongo_agg.parse_string_exn (Printf.sprintf {|[{"$match": %s}]|} ftext)
+      in
       List.iter
         (fun d ->
           let direct = Jquery.Mongo.matches f d in
@@ -273,6 +277,10 @@ let test_translation_differential () =
             (Printf.sprintf "JSL agrees: %s on %s" ftext (Value.to_string d))
             direct
             (Jlogic.Jsl.validates d jsl);
+          Alcotest.(check bool)
+            (Printf.sprintf "plan agrees: %s on %s" ftext (Value.to_string d))
+            direct
+            (Jquery.Mongo_agg.run stage [ d ] <> []);
           match jnl with
           | None -> ()
           | Some jnl ->

@@ -16,7 +16,8 @@ type enum_entry = { e_hash : int; e_size : int; e_value : Value.t }
 
    - conjunct interactions are resolved at compile time the same way
      the interpreter resolves them at every visit: the {e last}
-     [items]/[additionalItems] conjunct wins, {e all}
+     [items]/[additionalItems] conjunct wins (lowered to a length
+     interval and position ranges), {e all}
      [additionalProperties] conjuncts apply, and a key is "named"
      (exempt from [additionalProperties]) iff some sibling
      [properties] lists it or some sibling [patternProperties] regex
@@ -35,8 +36,11 @@ type node = {
   props : (string, int array) Hashtbl.t;  (* key-dispatch table *)
   pattern_props : (Dfa.t * int) array;
   additional : int array;  (* all [additionalProperties]; [] = absent *)
-  items : int array option;  (* the last [items] conjunct *)
-  additional_items : int option;  (* the last [additionalItems] *)
+  min_items : int;  (* arrays only: length bounds … *)
+  max_items : int;
+  positions : (int * int * int) array;
+    (* … and (lo, hi, plan): the elements at positions lo..hi, where
+       present, validate plan; ascending in lo *)
   unique : bool;
   enums : enum_entry array array;  (* one sorted set per [enum] conjunct *)
   any_of : int array array;  (* one disjunction group per [anyOf] *)
@@ -76,15 +80,15 @@ type closure = {
   c_masked : bool;  (* pattern matches fit an int mask *)
   c_members : (int * edge) list Atomic.t array;
     (* key index (the last one = unnamed) -> memoized (pattern mask, edge) *)
+  c_breaks : int array;  (* ascending positions where element edges change *)
   c_elements : edge option Atomic.t array;
-    (* tuple position below the longest [items]; the last = beyond *)
+    (* one per segment between breaks; the last = beyond them all *)
 }
 
 and edge = {
   e_child : closure option;  (* [None]: nothing constrains the child *)
   e_slots : int array;  (* parent slots that read child verdicts … *)
   e_reads : int array array;  (* … and the child slots each conjoins *)
-  e_kills : int array;  (* parent slots the child's presence fails *)
 }
 
 type t = {
@@ -104,6 +108,7 @@ type builder = {
   defs : (string * Schema.t) list;
   assigned : (int, node) Hashtbl.t;
   schema_ids : (Schema.t, int) Hashtbl.t;  (* structural hash-consing *)
+  jsl_ids : (Jlogic.Jsl.t, int) Hashtbl.t;  (* the same, for {!of_jsl} *)
   def_ids : (string, int) Hashtbl.t;
   refs : (int, int ref) Hashtbl.t;
   dfas : (Rexp.Syntax.t, Dfa.t) Hashtbl.t;
@@ -154,8 +159,10 @@ let type_bit = function
   | Schema.T_string -> 0b0100
   | Schema.T_number -> 0b1000
 
-let rec intern b depth (s : Schema.t) =
-  match Hashtbl.find_opt b.schema_ids s with
+(* One plan node per distinct [key] of [table]; the id is reserved
+   before the recursive [make], which is what admits reference cycles. *)
+let intern_in b table key depth make =
+  match Hashtbl.find_opt table key with
   | Some id ->
     bump b id;
     id
@@ -163,28 +170,21 @@ let rec intern b depth (s : Schema.t) =
     Obs.Budget.check_depth b.budget depth;
     Obs.Budget.burn b.budget 1;
     let id = fresh b in
-    Hashtbl.add b.schema_ids s id;
-    Hashtbl.replace b.assigned id (build b (depth + 1) s);
+    Hashtbl.add table key id;
+    Hashtbl.replace b.assigned id (make id (depth + 1));
     id
 
+let rec intern b depth (s : Schema.t) =
+  intern_in b b.schema_ids s depth (fun _ d -> build b d s)
+
 and intern_def b depth name =
-  match Hashtbl.find_opt b.def_ids name with
-  | Some id ->
-    bump b id;
-    id
-  | None ->
-    Obs.Budget.check_depth b.budget depth;
-    Obs.Budget.burn b.budget 1;
-    let id = fresh b in
-    Hashtbl.add b.def_ids name id;
-    let body = List.assoc name b.defs in
-    (* register the body structurally too, so an inline copy of a
-       definition shares its plan; ids are reserved before the
-       recursive build, which is what admits reference cycles *)
-    if not (Hashtbl.mem b.schema_ids body) then
-      Hashtbl.add b.schema_ids body id;
-    Hashtbl.replace b.assigned id (build b (depth + 1) body);
-    id
+  intern_in b b.def_ids name depth (fun id d ->
+      let body = List.assoc name b.defs in
+      (* register the body structurally too, so an inline copy of a
+         definition shares its plan *)
+      if not (Hashtbl.mem b.schema_ids body) then
+        Hashtbl.add b.schema_ids body id;
+      build b d body)
 
 and build b depth (s : Schema.t) =
   let type_mask = ref 0b1111 in
@@ -246,6 +246,11 @@ and build b depth (s : Schema.t) =
     !prop_lists;
   let props_arr = Hashtbl.create (Hashtbl.length props) in
   Hashtbl.iter (fun k ids -> Hashtbl.replace props_arr k (Array.of_list ids)) props;
+  let tuple = Option.value ~default:[||] !items in
+  let n = Array.length tuple in
+  let beyond =
+    match !additional_items with Some a -> [| (n, max_int, a) |] | None -> [||]
+  in
   { type_mask = !type_mask;
     patterns = Array.of_list !patterns;
     min_bound = !min_bound;
@@ -257,34 +262,87 @@ and build b depth (s : Schema.t) =
     props = props_arr;
     pattern_props = Array.of_list (List.rev !pattern_props);
     additional = Array.of_list !additional;
-    items = !items;
-    additional_items = !additional_items;
+    min_items = n;
+    (* §5.1: [items] without [additionalItems] allows nothing beyond *)
+    max_items = (if Option.is_some !items && beyond = [||] then n else max_int);
+    positions = Array.append (Array.mapi (fun k id -> (k, k, id)) tuple) beyond;
     unique = !unique;
     enums = Array.of_list !enums;
     any_of = Array.of_list !any_of;
     all_of = Array.of_list !all_of;
     nots = Array.of_list !nots }
 
+(* JSL lowers straight into plan nodes, not through [Of_jsl.schema]: a
+   position range or a child count is one node field here, where the
+   Table 1 fragment needs an [items] list as long as the index. *)
+let blank =
+  { type_mask = 0b1111; patterns = [||]; min_bound = min_int;
+    max_bound = max_int; multiples = [||]; min_props = 0;
+    max_props = max_int; required = [||]; props = Hashtbl.create 1;
+    pattern_props = [||]; additional = [||]; min_items = 0;
+    max_items = max_int; positions = [||]; unique = false; enums = [||];
+    any_of = [||]; all_of = [||]; nots = [||] }
+
+let rec intern_jsl b depth (f : Jlogic.Jsl.t) =
+  intern_in b b.jsl_ids f depth (fun _ d -> jsl_node b d f)
+
+and jsl_node b depth (f : Jlogic.Jsl.t) =
+  let sub = intern_jsl b depth in
+  match f with
+  | True -> blank
+  | Not g -> { blank with nots = [| sub g |] }
+  | And (x, y) -> { blank with all_of = [| sub x; sub y |] }
+  | Or (x, y) -> { blank with any_of = [| [| sub x; sub y |] |] }
+  | Var v ->
+    invalid_arg ("Jschema.Validate.Plan.of_jsl: free recursion symbol $" ^ v)
+  | Box_keys (e, g) -> { blank with pattern_props = [| (dfa b e, sub g) |] }
+  | Dia_keys (e, g) ->
+    (* ◇ϕ = ¬□¬ϕ, and ◇ also rules out the kinds □ admits vacuously *)
+    { blank with type_mask = 0b0001; nots = [| sub (Box_keys (e, Not g)) |] }
+  | Dia_range (i, j, g) ->
+    { blank with
+      type_mask = 0b0010;
+      nots = [| sub (Box_range (i, j, Not g)) |] }
+  | Box_range (i, j, g) ->
+    let hi = Option.value ~default:max_int j in
+    if i < 0 || hi < 0 then
+      invalid_arg "Jschema.Validate.Plan.of_jsl: negative array position";
+    { blank with positions = [| (i, hi, sub g) |] }
+  | Test (Min_ch i) when i > 0 ->
+    (* strings and numbers have no children *)
+    { blank with type_mask = 0b0011; min_props = i; min_items = i }
+  | Test (Max_ch i) -> { blank with max_props = i; max_items = i }
+  | Test nt -> build b depth (Of_jsl.node_test nt)
+
+let builder defs budget =
+  { defs;
+    assigned = Hashtbl.create 64;
+    schema_ids = Hashtbl.create 64;
+    jsl_ids = Hashtbl.create 64;
+    def_ids = Hashtbl.create 16;
+    refs = Hashtbl.create 64;
+    dfas = Hashtbl.create 16;
+    count = 0;
+    budget }
+
+let finish b root =
+  let nodes = Array.init b.count (fun i -> Hashtbl.find b.assigned i) in
+  let shared = Array.init b.count (fun i -> !(Hashtbl.find b.refs i) >= 2) in
+  Obs.Metrics.add "validate.plan.nodes" b.count;
+  { nodes; shared; root; closures = Atomic.make Id_sets.empty }
+
 let compile ?(budget = Obs.Budget.unlimited) (doc : Schema.document) =
   (match Schema.well_formed doc with
   | Ok () -> ()
   | Error m -> invalid_arg ("Jschema.Validate.Plan.compile: " ^ m));
   Obs.Metrics.span "validate.compile" @@ fun () ->
-  let b =
-    { defs = doc.definitions;
-      assigned = Hashtbl.create 64;
-      schema_ids = Hashtbl.create 64;
-      def_ids = Hashtbl.create 16;
-      refs = Hashtbl.create 64;
-      dfas = Hashtbl.create 16;
-      count = 0;
-      budget }
-  in
-  let root = intern b 0 doc.root in
-  let nodes = Array.init b.count (fun i -> Hashtbl.find b.assigned i) in
-  let shared = Array.init b.count (fun i -> !(Hashtbl.find b.refs i) >= 2) in
-  Obs.Metrics.add "validate.plan.nodes" b.count;
-  { nodes; shared; root; closures = Atomic.make Id_sets.empty }
+  let b = builder doc.definitions budget in
+  finish b (intern b 0 doc.root)
+
+let of_jsl f =
+  Obs.Metrics.span "validate.compile" @@ fun () ->
+  let b = builder [] Obs.Budget.unlimited in
+  finish b (intern_jsl b 0 f)
 
 (* ---- execution over trees ------------------------------------------------ *)
 
@@ -385,25 +443,15 @@ and obj_ok p st t n d nd =
 and arr_ok p st t n d nd =
   let kids = Tree.child_ids t n in
   let len = Array.length kids in
-  (match (nd.items, nd.additional_items) with
-  | None, None -> true
-  | None, Some a -> Array.for_all (fun c -> exec p st t c a d) kids
-  | Some ss, add ->
-    let k = Array.length ss in
-    len >= k (* §5.1: the positions must exist *)
-    && (let rec positions i =
-          i >= k || (exec p st t kids.(i) ss.(i) d && positions (i + 1))
-        in
-        positions 0)
-    && (len = k
-       ||
-       match add with
-       | None -> false (* …and without additionalItems, nothing beyond *)
-       | Some a ->
-         let rec rest i =
-           i >= len || (exec p st t kids.(i) a d && rest (i + 1))
+  len >= nd.min_items
+  && Array.for_all
+       (fun (lo, hi, pid) ->
+         let rec from i =
+           i > hi || i >= len || (exec p st t kids.(i) pid d && from (i + 1))
          in
-         rest k))
+         from lo)
+       nd.positions
+  && len <= nd.max_items
   && ((not nd.unique) || Jlogic.Jsl.check_unique t n)
 
 let run_tree ?(budget = Obs.Budget.unlimited) p t =
@@ -430,8 +478,9 @@ let run ?budget p v = run_tree ?budget p (Tree.of_value ?budget v)
 
    A transition depends only on plan data: a member's on which named
    key it carries (if any) and which [patternProperties] regexes its
-   key matches, an element's on its tuple position (every position past
-   the longest [items] shares one edge).  Closures are interned per
+   key matches, an element's on the segment of positions it falls in
+   (cut where some position range starts or ends, so every position
+   past the longest [items] shares one edge).  Closures are interned per
    requested set and edges memoized on first use, both published with a
    compare-and-set: domains sharing the plan share the automaton without
    locks, and since every entry is a deterministic function of the plan,
@@ -439,9 +488,9 @@ let run ?budget p v = run_tree ?budget p (Tree.of_value ?budget v)
    ([validate.stream.closures], [validate.stream.edges]), so totals do
    not depend on the number of domains.
 
-   The memo is bounded by the plan: per closure, one edge per tuple
-   position below the longest [items] plus one, and per key index
-   (named keys plus one for unnamed) at most [mask_memo] pattern masks.
+   The memo is bounded by the plan: per closure, one edge per position
+   segment, and per key index (named keys plus one for unnamed) at most
+   [mask_memo] pattern masks.
    Members past that bound, or of closures with more distinct patterns
    than an int mask holds, compute their edge afresh — correct, just
    slower. *)
@@ -511,11 +560,16 @@ let build_closure p requested =
       [] nodes
     |> List.rev |> Array.of_list
   in
-  let items_max =
+  let breaks =
     Array.fold_left
-      (fun m nd ->
-        match nd.items with Some ss -> max m (Array.length ss) | None -> m)
-      0 nodes
+      (fun acc nd ->
+        Array.fold_left
+          (fun acc (lo, hi, _) ->
+            lo :: (if hi < max_int then hi + 1 :: acc else acc))
+          acc nd.positions)
+      [] nodes
+    |> List.filter (fun k -> k > 0)
+    |> List.sort_uniq Int.compare |> Array.of_list
   in
   let required = Array.map (fun nd -> Array.length nd.required) nodes in
   let requested = Array.of_list requested in
@@ -539,7 +593,9 @@ let build_closure p requested =
     c_masked = Array.length patterns < Sys.int_size;
     c_members =
       Array.init (Array.length key_names + 1) (fun _ -> Atomic.make []);
-    c_elements = Array.init (items_max + 1) (fun _ -> Atomic.make None) }
+    c_breaks = breaks;
+    c_elements =
+      Array.init (Array.length breaks + 1) (fun _ -> Atomic.make None) }
 
 let intern_closure p requested =
   match Id_sets.find_opt requested (Atomic.get p.closures) with
@@ -561,12 +617,10 @@ let intern_closure p requested =
     in
     publish ()
 
-(* An edge given each slot's child obligations (plan ids) and the
-   slots that fail outright. *)
-let edge_of p per_slot kills =
-  let kills = Array.of_list (List.rev kills) in
+(* An edge given each slot's child obligations (plan ids). *)
+let edge_of p per_slot =
   match List.sort_uniq Int.compare (List.concat (Array.to_list per_slot)) with
-  | [] -> { e_child = None; e_slots = [||]; e_reads = [||]; e_kills = kills }
+  | [] -> { e_child = None; e_slots = [||]; e_reads = [||] }
   | requested ->
     let child = intern_closure p requested in
     let reading =
@@ -579,8 +633,7 @@ let edge_of p per_slot kills =
     in
     { e_child = Some child;
       e_slots = Array.of_list reading;
-      e_reads = Array.of_list (List.map reads reading);
-      e_kills = kills }
+      e_reads = Array.of_list (List.map reads reading) }
 
 (* every plan listed for a named key applies, every matching
    [patternProperties] plan applies, and uncovered keys fall to all
@@ -612,30 +665,19 @@ let member_edge_of p c kidx matched =
         if !named then !acc else Array.to_list nd.additional)
       c.c_ids
   in
-  edge_of p per_slot []
+  edge_of p per_slot
 
-(* position [k] of the tuple, or (at the last index) any position past
-   the longest [items] *)
+(* the element at position [k]; array lengths are checked when the
+   array closes *)
 let element_edge_of p c k =
-  let kills = ref [] in
-  let per_slot =
-    Array.mapi
-      (fun s id ->
-        let nd = p.nodes.(id) in
-        match (nd.items, nd.additional_items) with
-        | None, None -> []
-        | None, Some a -> [ a ]
-        | Some ss, add -> (
-          if k < Array.length ss then [ ss.(k) ]
-          else
-            match add with
-            | None ->
-              kills := s :: !kills (* §5.1: nothing beyond the tuple *);
-              []
-            | Some a -> [ a ]))
-      c.c_ids
-  in
-  edge_of p per_slot !kills
+  edge_of p
+    (Array.map
+       (fun id ->
+         Array.fold_right
+           (fun (lo, hi, pid) acc ->
+             if lo <= k && k <= hi then pid :: acc else acc)
+           p.nodes.(id).positions [])
+       c.c_ids)
 
 let rec memo_find mask = function
   | [] -> raise Not_found
@@ -662,13 +704,13 @@ let member_edge p c kidx mask =
     in
     publish ()
 
-let element_edge p c i =
-  let last = Array.length c.c_elements - 1 in
-  let cell = c.c_elements.(if i < last then i else last) in
+(* the element at position [k], in segment [seg] *)
+let element_edge p c seg k =
+  let cell = c.c_elements.(seg) in
   match Atomic.get cell with
   | Some e -> e
   | None ->
-    let e = element_edge_of p c (min i last) in
+    let e = element_edge_of p c k in
     if Atomic.compare_and_set cell None (Some e) then begin
       Obs.Metrics.incr "validate.stream.edges";
       e
@@ -807,15 +849,10 @@ let rec stream_value st p c depth =
     v
   end
 
-(* A member/element through its edge: parent slots the edge kills fail,
-   the child is streamed against the edge's closure (or skipped outright
-   when nothing constrains it), and each reading slot conjoins its
-   child verdicts. *)
+(* A member/element through its edge: the child is streamed against the
+   edge's closure (or skipped outright when nothing constrains it), and
+   each reading slot conjoins its child verdicts. *)
 and follow st p depth v e =
-  let kills = e.e_kills in
-  for j = 0 to Array.length kills - 1 do
-    v.(kills.(j)) <- false
-  done;
   match e.e_child with
   | None ->
     let before = Lexer.offset st.s_lx in
@@ -893,13 +930,17 @@ and stream_obj st p c depth v =
 
 and stream_arr st p c depth v =
   let lx = st.s_lx in
-  let len = ref 0 in
+  let len = ref 0 and seg = ref 0 in
+  let breaks = c.c_breaks in
   (match Lexer.peek lx with
   | _, Lexer.Rbracket -> ignore (Lexer.next lx)
   | _ ->
     let more = ref true in
     while !more do
-      follow st p depth v (element_edge p c !len);
+      while !seg < Array.length breaks && breaks.(!seg) <= !len do
+        incr seg
+      done;
+      follow st p depth v (element_edge p c !seg !len);
       incr len;
       match Lexer.next lx with
       | _, Lexer.Comma -> ()
@@ -908,12 +949,10 @@ and stream_arr st p c depth v =
     done);
   for s = 0 to Array.length v - 1 do
     let nd = p.nodes.(c.c_ids.(s)) in
-    let tuple_complete =
-      match nd.items with
-      | Some ss -> !len >= Array.length ss (* §5.1: positions must exist *)
-      | None -> true
-    in
-    v.(s) <- v.(s) && nd.type_mask land 0b0010 <> 0 && tuple_complete
+    v.(s) <-
+      v.(s)
+      && nd.type_mask land 0b0010 <> 0
+      && !len >= nd.min_items && !len <= nd.max_items
   done
 
 (* Materialize exactly one subtree through the column builder and fall
@@ -961,7 +1000,3 @@ let run_stream ?budget ?mode p input =
 let run_stream_stats p input =
   let ok, st = stream_run Obs.Budget.unlimited `Strict p (Lexer.create input) in
   (ok, { values = st.s_values; peak_obligations = st.s_peak })
-
-(* ---- deterministic JSL (the §6 conjecture) ------------------------------- *)
-
-let of_jsl f = compile (Schema.plain (Of_jsl.schema f))

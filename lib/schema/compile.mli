@@ -15,8 +15,8 @@
       lookup);
     - [pattern]/[patternProperties] regexes lowered to {!Rexp.Dfa} at
       compile time;
-    - resolved [items]/[additionalItems] vectors and collapsed numeric
-      / arity bounds;
+    - [items]/[additionalItems] resolved to an array-length interval
+      and position ranges, and collapsed numeric / arity bounds;
     - [enum] constants pre-hashed and sorted for binary search on the
       subtree hash.
 
@@ -155,9 +155,15 @@ val run_stream_stats : t -> string -> bool * stream_stats
     into a tree. *)
 
 val of_jsl : Jlogic.Jsl.t -> t
-(** [of_jsl ϕ] compiles [ϕ] through the Theorem 1 translation
-    {!Of_jsl.schema}: [run (of_jsl ϕ) v = Jsl.validates v ϕ], and so
-    does {!run_stream}.  A [~(A)] test is a one-value [enum] decided by
-    subtree hash; streamed, it spills a container [A]'s subtree, which
-    {!Jlogic.Jsl.expand_eq} avoids at its cost in plan size.
-    @raise Invalid_argument on free recursion symbols. *)
+(** [of_jsl ϕ] compiles [ϕ] into plan nodes directly, one per distinct
+    subformula, to the plan {!compile} would make of the Theorem 1
+    translation {!Of_jsl.schema} up to its size: [run (of_jsl ϕ) v =
+    Jsl.validates v ϕ], and so does {!run_stream}.  Position ranges and
+    [MinCh]/[MaxCh] are node fields, so a plan's size does not grow with
+    the indices and counts in [ϕ] (the schema translation needs an
+    [items] list as long as the index).  A [~(A)] test is a one-value
+    [enum] decided by subtree hash; streamed, it spills a container
+    [A]'s subtree, which {!Jlogic.Jsl.expand_eq} avoids at its cost in
+    plan size.
+    @raise Invalid_argument on free recursion symbols and negative
+    array positions. *)

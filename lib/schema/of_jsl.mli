@@ -12,7 +12,9 @@
       therefore costs a schema linear in [i] (the [items] prefix of
       [i] empty schemas) — exponential in the bit length of [i], which
       is the blow-up the paper remarks on before Proposition 7.  A
-      range [i:j] also enumerates the exact lengths [i+1 .. j];
+      range [i:j] also enumerates the exact lengths [i+1 .. j].
+      [Validate.Plan.of_jsl] does not go through this translation, so
+      its plans stay constant-size in indices;
     - [MultOf(0)] holds nowhere, while [multipleOf 0] is ill-formed, so
       it becomes [not {}].
 
@@ -20,4 +22,8 @@
     [$ref]s (Theorem 3). *)
 
 val schema : Jlogic.Jsl.t -> Schema.t
+val node_test : Jlogic.Jsl.node_test -> Schema.t
+(** The schema of one node test, of size linear in a [MinCh]/[MaxCh]
+    count. *)
+
 val document : Jlogic.Jsl_rec.t -> Schema.document

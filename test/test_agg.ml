@@ -28,7 +28,16 @@ let test_match () =
     {|[{"$match": {"status": "pending"}}]|} orders;
   check_run "match keeps order"
     [ {|{"order_id":1}|}; {|{"order_id":3}|}; {|{"order_id":4}|} ]
-    {|[{"$match": {"status": "shipped"}}, {"$project": {"order_id": 1}}]|} orders
+    {|[{"$match": {"status": "shipped"}}, {"$project": {"order_id": 1}}]|} orders;
+  (* a large index or size in the filter costs no more to compile than
+     a small one: a digit key that could be a position, a [$size] *)
+  let events = [ {|{"events":{"1000000":"t"}}|}; {|{"events":[1,2]}|} ] in
+  check_run "large digit key" [ List.hd events ]
+    {|[{"$match": {"events.1000000": {"$exists": true}}}]|} events;
+  check_run "large $size" []
+    {|[{"$match": {"events": {"$size": 1000000}}}]|} events;
+  check_run "$size" [ List.nth events 1 ]
+    {|[{"$match": {"events": {"$size": 2}}}]|} events
 
 let test_project () =
   check_run "include" [ {|{"a":{"b":1}}|} ]

@@ -103,13 +103,20 @@ let test_fuzz_differential () =
     check_agree
       ~what:(Printf.sprintf "fuzz case %d (doc %s)" case (Value.to_string doc))
       schema doc None;
-    (* the compiled schema decides the formula it was translated from *)
+    (* the compiled schema decides the formula it was translated from,
+       and so does the formula lowered straight into a plan, over trees
+       and over the token stream *)
     let tree = Tree.of_value doc in
-    let by_plan = Validate.Plan.run_tree (Validate.Plan.compile schema) tree in
     let by_jsl = Jsl.holds (Jsl.context tree) Tree.root f in
-    if by_plan <> by_jsl then
-      Alcotest.failf "case %d: run_tree %b but Jsl.holds %b for %s" case
-        by_plan by_jsl (Jsl.to_string f)
+    let direct = Validate.Plan.of_jsl f in
+    List.iter
+      (fun (engine, by_plan) ->
+        if by_plan <> by_jsl then
+          Alcotest.failf "case %d: %s %b but Jsl.holds %b for %s" case engine
+            by_plan by_jsl (Jsl.to_string f))
+      [ ("run_tree (schema)", Validate.Plan.run_tree (Validate.Plan.compile schema) tree);
+        ("run_tree (of_jsl)", Validate.Plan.run_tree direct tree);
+        ("run_stream (of_jsl)", Validate.Plan.run_stream direct (Value.to_string doc)) ]
   done
 
 (* [~(A)] compiles to a one-value [enum], decided by subtree hash: the
@@ -134,6 +141,51 @@ let test_eq_doc_plan_size () =
   in
   let small = nodes 3 in
   Alcotest.(check int) "1000-element constant, same plan size" small (nodes 1000)
+
+(* a position range or a child count is one plan-node field: neither
+   the plan nor its compilation grows with the index or count (the
+   Table 1 translation needs an [items] list as long as the index) *)
+let test_index_plan_size () =
+  let at_a i = Jsl.dia_key "a" (Jsl.dia_idx i (Jsl.Test (Jsl.Eq_doc (Value.Num 1)))) in
+  let forms =
+    [ ("dia[i] under a key", at_a);
+      ("MinCh(i)", fun i -> Jsl.Test (Jsl.Min_ch i));
+      ("MaxCh(i)", fun i -> Jsl.Test (Jsl.Max_ch i));
+      ("box[i:2i]", fun i -> Jsl.Box_range (i, Some (2 * i), Jsl.Test Jsl.Is_int)) ]
+  in
+  List.iter
+    (fun (what, form) ->
+      let compile i =
+        let f = form i in
+        let before = Gc.minor_words () in
+        let plan = Validate.Plan.of_jsl f in
+        (Validate.Plan.node_count plan, Gc.minor_words () -. before)
+      in
+      let nodes, words = compile 3 and big_nodes, big_words = compile 1_000_000 in
+      Alcotest.(check int) (what ^ ": same plan size at i = 10^6") nodes big_nodes;
+      if big_words > words +. 1000. then
+        Alcotest.failf "%s: compiling at i = 10^6 allocates %.0f words, at i = 3 %.0f"
+          what big_words words)
+    forms;
+  let decide f text =
+    let plan = Validate.Plan.of_jsl f in
+    let on_tree = Validate.Plan.run_tree plan (Tree.of_string_exn text) in
+    Alcotest.(check bool) ("stream agrees on " ^ text) on_tree
+      (Validate.Plan.run_stream plan text);
+    on_tree
+  in
+  let doc = {|{"a":[0,0,0,1]}|} in
+  Alcotest.(check bool) "a[3] = 1" true (decide (at_a 3) doc);
+  Alcotest.(check bool) "a[2] = 1" false (decide (at_a 2) doc);
+  Alcotest.(check bool) "no a[10^9]" false (decide (at_a 1_000_000_000) doc);
+  Alcotest.(check bool) "MinCh(4) at a 4-array" true
+    (decide (Jsl.Test (Jsl.Min_ch 4)) "[0,0,0,1]");
+  Alcotest.(check bool) "MinCh(10^9)" false
+    (decide (Jsl.Test (Jsl.Min_ch 1_000_000_000)) "[0,0,0,1]");
+  Alcotest.(check bool) "MaxCh(3) at a 4-array" false
+    (decide (Jsl.Test (Jsl.Max_ch 3)) "[0,0,0,1]");
+  Alcotest.(check bool) "MaxCh(10^9)" true
+    (decide (Jsl.Test (Jsl.Max_ch 1_000_000_000)) {|{"a":[0,0,0,1]}|})
 
 (* ---- $ref sharing and reference cycles ----------------------------------- *)
 
@@ -297,7 +349,8 @@ let () =
            test_catalog_differential ]);
       ("differential",
        [ Alcotest.test_case "fuzz schema+jsl" `Quick test_fuzz_differential;
-         Alcotest.test_case "~(A) plan size" `Quick test_eq_doc_plan_size ]);
+         Alcotest.test_case "~(A) plan size" `Quick test_eq_doc_plan_size;
+         Alcotest.test_case "index/count plan size" `Quick test_index_plan_size ]);
       ("ref-sharing",
        [ Alcotest.test_case "asymptotic sharing" `Quick test_ref_sharing;
          Alcotest.test_case "cyclic $ref regression" `Quick

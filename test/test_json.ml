@@ -112,6 +112,25 @@ let test_parse_errors () =
       {|{"dup":1,"dup":2}|}
     ]
 
+(* duplicate keys are found through a key set per nesting level, not
+   by scanning the members so far, so a wide object parses in linear
+   time (a per-member scan took seconds at 50,000 keys) *)
+let test_parse_wide_object () =
+  let n = 50_000 in
+  let members = List.init n (Printf.sprintf {|"k%d":0|}) in
+  let text extra = "{" ^ String.concat "," (members @ extra) ^ "}" in
+  let t0 = Sys.time () in
+  (match Parser.parse (text []) with
+  | Ok (Value.Obj kvs) -> Alcotest.(check int) "all members" n (List.length kvs)
+  | Ok _ -> Alcotest.fail "expected an object"
+  | Error _ -> Alcotest.fail "wide object rejected");
+  let dup = parse_err (text [ {|"k0":1|} ]) in
+  let cpu = Sys.time () -. t0 in
+  Alcotest.(check bool) ("duplicate found last: " ^ dup) true
+    (String.ends_with ~suffix:{|duplicate object key "k0"|} dup);
+  if cpu > 2.0 then
+    Alcotest.failf "two %d-key parses took %.2f s of CPU time" n cpu
+
 let test_parse_model_restriction () =
   ignore (parse_err "true");
   ignore (parse_err "null");
@@ -1355,6 +1374,7 @@ let () =
        [ Alcotest.test_case "atoms" `Quick test_parse_atoms;
          Alcotest.test_case "escapes" `Quick test_parse_escapes;
          Alcotest.test_case "errors" `Quick test_parse_errors;
+         Alcotest.test_case "wide object" `Quick test_parse_wide_object;
          Alcotest.test_case "model restriction" `Quick test_parse_model_restriction;
          Alcotest.test_case "depth limit" `Quick test_parse_depth_limit;
          Alcotest.test_case "parse_many" `Quick test_parse_many;
